@@ -175,5 +175,7 @@ func (c *Cache) storeDisk(key string, val []byte) {
 		os.Remove(tmp.Name())
 		return
 	}
-	os.Rename(tmp.Name(), p)
+	if os.Rename(tmp.Name(), p) != nil {
+		os.Remove(tmp.Name())
+	}
 }

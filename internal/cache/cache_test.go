@@ -124,3 +124,23 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d exceeds capacity 64", c.Len())
 	}
 }
+
+// TestFailedRenameLeavesNoTempFile blocks the write-through target with a
+// non-empty directory, so the atomic rename fails: the temp file must not
+// be left behind.
+func TestFailedRenameLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := c.path(key(1))
+	if err := os.MkdirAll(filepath.Join(p, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(key(1), []byte("v1"))
+	tmps, _ := filepath.Glob(filepath.Join(filepath.Dir(p), ".tmp-*"))
+	if len(tmps) != 0 {
+		t.Fatalf("failed rename left temp files: %v", tmps)
+	}
+}

@@ -25,8 +25,8 @@ import (
 //
 // Sharding rides on the same representation: Split(n) deals the frontier
 // into n disjoint shards that each keep the full seen-set, so shards can
-// be explored independently (in-process, or on peer daemons via
-// POST /v1/shards) and merged with the engine's deterministic merge
+// be explored independently (in-process, or as shard jobs on peer
+// daemons via POST /v1/shards/jobs) and merged with the engine's deterministic merge
 // rules. Shard-local seen-sets diverge after the split, so a state
 // reachable from two shards is re-explored in both — that costs work,
 // never soundness: outcome sets are unions and the merged set equals the
@@ -117,8 +117,8 @@ type Snapshot struct {
 	// canonical (sorted) order, so canonicalize is a one-shot: Marshal on
 	// an already-canonical snapshot performs no writes, which lets Split
 	// shards share one Seen backing array and still be marshaled from
-	// concurrent goroutines (CheckSharded). Callers that mutate a
-	// snapshot's exported fields by hand own re-canonicalization.
+	// concurrent goroutines. Callers that mutate a snapshot's exported
+	// fields by hand own re-canonicalization.
 	canon bool
 }
 
@@ -367,7 +367,7 @@ func MergeSnapshotInto(snap *Snapshot, res *Result) { snap.mergeInto(res) }
 // seen-set and an empty accumulated result (the parent snapshot keeps the
 // accumulated outcomes; MergeShards folds them back in exactly once).
 // Shards may be explored independently — in-process, or shipped to peer
-// daemons via POST /v1/shards — and some may be empty when the frontier
+// daemons via POST /v1/shards/jobs — and some may be empty when the frontier
 // has fewer than n states.
 func (s *Snapshot) Split(n int) []*Snapshot {
 	if n < 1 {

@@ -187,23 +187,6 @@ func ReportJSON(r litmus.Report) TestReport {
 	return tr
 }
 
-// ShardRequest is the body of POST /v1/shards: one frontier shard of a
-// checkpointed exploration (explore.Snapshot.Split), explored to
-// completion on this daemon. The coordinator — another daemon, a client,
-// or cmd/litmus — splits a snapshot, posts one shard per peer, and merges
-// the reports with explore.MergeShards.
-type ShardRequest struct {
-	// TestSpec names the test the snapshot belongs to; the snapshot's
-	// embedded content hash is verified against it.
-	TestSpec
-	// Backend defaults to the snapshot's own backend tag.
-	Backend string `json:"backend,omitempty"`
-	// Snapshot is the shard (a Snapshot whose frontier is this shard's
-	// share and whose seen-set is the full split-time set).
-	Snapshot json.RawMessage `json:"snapshot"`
-	Options  CheckOptions    `json:"options,omitzero"`
-}
-
 // ShardReport is a shard exploration's result in mergeable form: raw
 // outcome values rather than formatted lines, so the coordinator can
 // union them losslessly across shards.

@@ -9,9 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
-
-	"promising/internal/explore"
 )
 
 // Client talks to a running model-checking service (cmd/promised). It is
@@ -93,72 +90,6 @@ func (c *Client) Fuzz(ctx context.Context, req FuzzRequest) (*BatchResponse, err
 		return nil, err
 	}
 	return &br, nil
-}
-
-// Shard explores one frontier shard of a checkpointed exploration on the
-// remote daemon, returning the mergeable-form report (see ShardRequest).
-func (c *Client) Shard(ctx context.Context, req ShardRequest) (*ShardReport, error) {
-	var sr ShardReport
-	if err := c.do(ctx, http.MethodPost, "/v1/shards", req, &sr); err != nil {
-		return nil, err
-	}
-	return &sr, nil
-}
-
-// CheckSharded distributes a snapshot's frontier across peer daemons:
-// Split(len(peers)) shards, one POST /v1/shards per peer (concurrently),
-// merged with explore.MergeShards. The spec must name the test the
-// snapshot was taken from. A shard whose peer fails is retried once on
-// the next peer (round-robin); only a shard that fails on both attempts
-// fails the whole call (its outcomes would be missing from the union).
-func CheckSharded(ctx context.Context, peers []*Client, spec TestSpec, snap *explore.Snapshot, o CheckOptions) (*explore.Result, error) {
-	if len(peers) == 0 {
-		return nil, fmt.Errorf("promised: no peers to shard across")
-	}
-	parts := snap.Split(len(peers))
-	results := make([]*explore.Result, len(parts))
-	errs := make([]error, len(parts))
-	run := func(i int, part *explore.Snapshot, peer *Client) error {
-		raw, err := part.Marshal()
-		if err != nil {
-			return err
-		}
-		sr, err := peer.Shard(ctx, ShardRequest{
-			TestSpec: spec,
-			Backend:  snap.Backend,
-			Snapshot: raw,
-			Options:  o,
-		})
-		if err != nil {
-			return err
-		}
-		results[i] = sr.Result()
-		return nil
-	}
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part *explore.Snapshot) {
-			defer wg.Done()
-			errs[i] = run(i, part, peers[i])
-		}(i, part)
-	}
-	wg.Wait()
-	// Retry each failed shard once, on the next peer over. Shard snapshots
-	// are free-standing (own frontier + shared seen-set) and the failed
-	// attempt contributed nothing to results, so a re-run is safe.
-	for i, err := range errs {
-		if err == nil || len(peers) < 2 {
-			continue
-		}
-		errs[i] = run(i, parts[i], peers[(i+1)%len(peers)])
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return explore.MergeShards(snap, results), nil
 }
 
 // Cluster submits a coordinated multi-peer exploration (POST /v1/cluster)

@@ -846,8 +846,7 @@ func (s *Server) handleShardJobStart(w http.ResponseWriter, r *http.Request) {
 	if backend == "" {
 		backend = snap.Backend
 	}
-	resume, err := backends.ResolveResumer(backend)
-	if err != nil {
+	if _, err := backends.ResolveResumer(backend); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -872,138 +871,103 @@ func (s *Server) handleShardJobStart(w http.ResponseWriter, r *http.Request) {
 		sj.rd = newRemoteDedup(s, req.Group, req.Attempt, req.Revoked, req.Peers, req.Self)
 	}
 	s.shardJobs.add(sj)
-	go s.runShardJob(sj, t, backend, resume, snap, req)
+	go s.runShardJob(sj, t, backend, snap, req)
 	s.logf("promised: shard job %s started (attempt %s, %s, frontier=%d, leg=%d)",
 		sj.id, sj.attempt, t.Name(), len(snap.Frontier), snap.Leg)
 	writeJSON(w, http.StatusAccepted, ShardJobResponse{ID: sj.id})
 }
 
-// runShardJob is the leg loop: resume → cooperative checkpoint → apply
-// the emitted delta onto the held full → publish both → resume again,
-// until the shard completes, fails, or is stopped for rebalancing.
-func (s *Server) runShardJob(sj *shardJob, t *litmus.Test, backend string, resume litmus.Resumer, snap *explore.Snapshot, req ShardJobRequest) {
+// runShardJob explores the shard in checkpoint legs, publishing each leg
+// (publish), until the shard completes, fails, or is stopped for
+// rebalancing.
+func (s *Server) runShardJob(sj *shardJob, t *litmus.Test, backend string, snap *explore.Snapshot, req ShardJobRequest) {
 	defer sj.cancel()
 	if sj.rd != nil {
 		defer sj.rd.Close()
 	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-sj.ctx.Done():
-		sj.fail(fmt.Errorf("canceled while queued: %v", sj.ctx.Err()))
-		return
-	}
-	s.inflight.Add(1)
-	defer func() { s.inflight.Add(-1); <-s.sem }()
-
-	eo, timeout := s.exploreOptions(sj.ctx, req.Options)
-	eo.Deadline = time.Now().Add(timeout)
-	eo.CertCache = explore.NewSharedCertCache()
-	eo.Sampler = sj.sampler
-	eo.DeltaSnapshot = true
-	if sj.rd != nil {
-		rd := sj.rd
-		eo.Remote = rd
-		eo.StatsProbe = func(st *obs.StatsSnapshot) {
-			st.DedupHits = rd.hits.Load()
-			st.DedupDrops = rd.drops.Load()
-		}
-	}
-	ckInterval := 2 * time.Second
+	every := 2 * time.Second
 	if req.CheckpointMS > 0 {
-		ckInterval = time.Duration(req.CheckpointMS) * time.Millisecond
+		every = time.Duration(req.CheckpointMS) * time.Millisecond
 	}
+	stopped := false
+	v, err := s.run(sj.ctx, exploration{
+		test: t, backend: backend, opts: req.Options, resume: snap,
+		sampler: sj.sampler,
+		setup: func(eo *explore.Options) {
+			if rd := sj.rd; rd != nil {
+				eo.Remote = rd
+				eo.StatsProbe = func(st *obs.StatsSnapshot) {
+					st.DedupHits = rd.hits.Load()
+					st.DedupDrops = rd.drops.Load()
+				}
+			}
+		},
+		every: every,
+		sink:  sj.publish,
+		startLeg: func(ck *explore.Checkpoint) bool {
+			sj.mu.Lock()
+			defer sj.mu.Unlock()
+			sj.ck = ck
+			stopped = sj.stopReq
+			return !stopped
+		},
+	})
+	switch {
+	case err != nil:
+		sj.fail(err)
+	case stopped:
+		// The held full is final: the stop landed between legs.
+		sj.mu.Lock()
+		sj.state = ShardStopped
+		leg := sj.leg
+		sj.mu.Unlock()
+		s.logf("promised: shard job %s stopped at leg %d (attempt %s)", sj.id, leg, sj.attempt)
+	default:
+		// Complete (or timed out/aborted, which the report flags).
+		s.shards.Add(1)
+		sr := shardReportOf(v.Result, v.Elapsed.Microseconds())
+		sj.mu.Lock()
+		sj.report = &sr
+		sj.state = ShardDone
+		sj.mu.Unlock()
+		s.logf("promised: shard job %s done (attempt %s, %d states, %d outcomes)",
+			sj.id, sj.attempt, v.Result.States, len(sr.Outcomes))
+	}
+}
 
-	cur := snap
-	var elapsed time.Duration
-	for {
-		ck := explore.NewCheckpoint()
-		sj.mu.Lock()
-		sj.ck = ck
-		stopped := sj.stopReq
-		sj.mu.Unlock()
-		if stopped {
-			// Stop landed between legs: the held full is already final.
-			sj.mu.Lock()
-			sj.state = ShardStopped
-			sj.mu.Unlock()
-			return
-		}
-		eo.Checkpoint = ck
-		timer := time.AfterFunc(ckInterval, ck.Request)
-		v, err := litmus.RunFrom(t, resume, cur, eo)
-		timer.Stop()
+// publish is a shard job's leg sink: it retains the leg's marshaled delta
+// and the applied full, so the snapshot endpoint serves either without
+// re-serializing under load.
+func (sj *shardJob) publish(_ int, full, emitted *explore.Snapshot) error {
+	var deltaRaw json.RawMessage
+	if emitted.Delta {
+		raw, err := emitted.Marshal()
 		if err != nil {
-			sj.fail(err)
-			return
+			return err
 		}
-		elapsed += v.Elapsed
-		if v.Result.Snapshot == nil {
-			// Complete (or timed out/aborted, which the report flags).
-			s.shards.Add(1)
-			if st := v.Result.Stats; st != (explore.ExploreStats{}) {
-				s.certHits.Add(st.CertHits)
-				s.certMisses.Add(st.CertMisses)
-				s.interned.Add(int64(st.Interned))
-				s.symmetryHits.Add(st.SymmetryHits)
-				s.prunedStates.Add(st.PrunedStates)
-			}
-			sr := shardReportOf(v.Result, elapsed.Microseconds())
-			sj.mu.Lock()
-			sj.report = &sr
-			sj.state = ShardDone
-			sj.mu.Unlock()
-			s.logf("promised: shard job %s done (attempt %s, %d states, %d outcomes)",
-				sj.id, sj.attempt, v.Result.States, len(sr.Outcomes))
-			return
-		}
-		emitted := v.Result.Snapshot
-		var deltaRaw json.RawMessage
-		if emitted.Delta {
-			full, err := explore.ApplyDelta(cur, emitted)
-			if err != nil {
-				sj.fail(err)
-				return
-			}
-			cur = full
-			deltaRaw, err = emitted.Marshal()
-			if err != nil {
-				sj.fail(err)
-				return
-			}
-		} else {
-			// Backend without a seen-set (axiomatic): every leg is full.
-			cur = emitted
-		}
-		fullRaw, err := cur.Marshal()
-		if err != nil {
-			sj.fail(err)
-			return
-		}
-		sj.mu.Lock()
-		sj.leg = cur.Leg
-		sj.fullRaw = fullRaw
-		if deltaRaw != nil {
-			sj.deltaRaws = append(sj.deltaRaws, deltaRaw)
-			if len(sj.deltaRaws) > keepDeltas {
-				drop := len(sj.deltaRaws) - keepDeltas
-				sj.deltaRaws = sj.deltaRaws[drop:]
-				sj.firstDelta += drop
-			}
-		} else {
-			sj.deltaRaws = nil
-			sj.firstDelta = cur.Leg + 1
-		}
-		stopped = sj.stopReq
-		sj.mu.Unlock()
-		if stopped {
-			sj.mu.Lock()
-			sj.state = ShardStopped
-			sj.mu.Unlock()
-			s.logf("promised: shard job %s stopped at leg %d (attempt %s, frontier=%d)",
-				sj.id, sj.leg, sj.attempt, len(cur.Frontier))
-			return
-		}
+		deltaRaw = raw
 	}
+	fullRaw, err := full.Marshal()
+	if err != nil {
+		return err
+	}
+	sj.mu.Lock()
+	defer sj.mu.Unlock()
+	sj.leg = full.Leg
+	sj.fullRaw = fullRaw
+	if deltaRaw == nil {
+		// Backend without a seen-set (axiomatic): every leg is full.
+		sj.deltaRaws = nil
+		sj.firstDelta = full.Leg + 1
+		return nil
+	}
+	sj.deltaRaws = append(sj.deltaRaws, deltaRaw)
+	if len(sj.deltaRaws) > keepDeltas {
+		drop := len(sj.deltaRaws) - keepDeltas
+		sj.deltaRaws = sj.deltaRaws[drop:]
+		sj.firstDelta += drop
+	}
+	return nil
 }
 
 func (s *Server) handleShardJob(w http.ResponseWriter, r *http.Request) {
@@ -1163,30 +1127,19 @@ func (s *Server) runCluster(j *job, t *litmus.Test, spec TestSpec, backend strin
 			Backend: backend, Status: string(litmus.StatusError), Error: err.Error()})
 	}
 
-	named, err := backends.ResolveNamed(backend)
-	if err != nil {
-		failJob(err)
-		return
-	}
-
-	// Widen on this daemon until the frontier supports the fan-out.
+	// Widen on this daemon until the frontier supports the fan-out (the
+	// one-leg form of litmus.Widen).
 	widenStates := co.WidenStates
 	if widenStates <= 0 {
 		widenStates = 32 * shards
 	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-j.ctx.Done():
-		failJob(fmt.Errorf("canceled while queued: %v", j.ctx.Err()))
-		return
-	}
-	s.inflight.Add(1)
-	eo, timeout := s.exploreOptions(j.ctx, o)
-	eo.Deadline = time.Now().Add(timeout)
-	eo.Trace = j.tracer.Scope(0, backend)
-	v, err := litmus.Widen(t, named.Run, widenStates, eo)
-	s.inflight.Add(-1)
-	<-s.sem
+	v, err := s.run(j.ctx, exploration{
+		test: t, backend: backend, opts: o,
+		trace: j.tracer.Scope(0, backend),
+		setup: func(eo *explore.Options) {
+			eo.Checkpoint = explore.NewCheckpointAfter(widenStates)
+		},
+	})
 	if err != nil {
 		failJob(err)
 		return

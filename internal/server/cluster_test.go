@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -472,64 +471,5 @@ func TestShardGroupsRetainRevocationsAcrossEviction(t *testing.T) {
 	den, _ := sg.get("cluster").apply("zombie", nil, [][]byte{[]byte("k")}, nil)
 	if den[0] != explore.AllFamilies {
 		t.Fatalf("revoked attempt granted a claim after group eviction+recreation: %v", den)
-	}
-}
-
-// TestCheckShardedRetriesFailedShard points CheckSharded at one healthy
-// daemon and one peer that five-hundreds every request: the shard that
-// lands on the broken peer must be retried on the healthy one and the
-// merged result must equal the uninterrupted run.
-func TestCheckShardedRetriesFailedShard(t *testing.T) {
-	_, good := newTestServer(t, Config{Workers: 2, DefaultTimeout: 2 * time.Minute})
-	var badHits atomic.Int64
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		badHits.Add(1)
-		http.Error(w, "injected failure", http.StatusInternalServerError)
-	}))
-	t.Cleanup(bad.Close)
-
-	src := restartSrc()
-	tst, err := litmus.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := explore.DefaultOptions()
-	opts.Checkpoint = explore.NewCheckpointAfter(50)
-	v, err := litmus.Run(tst, explore.PromiseFirst, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := v.Result.Snapshot
-	if snap == nil || len(snap.Frontier) < 2 {
-		t.Fatalf("checkpoint did not leave a splittable frontier (snap=%v)", snap)
-	}
-
-	ctx := context.Background()
-	peers := []*Client{good, NewClient(bad.URL, nil)}
-	res, err := CheckSharded(ctx, peers, TestSpec{Source: src}, snap, CheckOptions{TimeoutMS: 120_000})
-	if err != nil {
-		t.Fatalf("CheckSharded with one broken peer: %v", err)
-	}
-	if badHits.Load() == 0 {
-		t.Fatal("no shard was ever dispatched to the broken peer")
-	}
-
-	ref, err := litmus.Run(tst, explore.PromiseFirst, explore.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outcomes) != len(ref.Result.Outcomes) {
-		t.Fatalf("merged outcomes = %d, uninterrupted = %d", len(res.Outcomes), len(ref.Result.Outcomes))
-	}
-	for k := range ref.Result.Outcomes {
-		if _, ok := res.Outcomes[k]; !ok {
-			t.Errorf("merged result missing outcome %q", k)
-		}
-	}
-
-	// Both peers broken: the retry budget is one hop, so the call fails.
-	peers = []*Client{NewClient(bad.URL, nil), NewClient(bad.URL, nil)}
-	if _, err := CheckSharded(ctx, peers, TestSpec{Source: src}, snap, CheckOptions{}); err == nil {
-		t.Fatal("CheckSharded succeeded with every peer broken")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +46,10 @@ type job struct {
 	// gate on it, so in-flight sampling costs nothing while nobody looks.
 	watchers atomic.Int64
 
-	mu        sync.Mutex
-	state     JobState
+	mu    sync.Mutex
+	state JobState
+	// final is the terminal state fixed by seal, published by finish.
+	final     JobState
 	total     int
 	completed int
 	cacheHits int
@@ -223,19 +226,42 @@ func (j *job) record(cell int, tr TestReport) {
 	}
 }
 
-// finish moves the job to its terminal state and closes every subscriber.
+// sealLocked fixes the terminal state and elapsed time, once.
+func (j *job) sealLocked() {
+	if j.final != "" {
+		return
+	}
+	j.final = JobDone
+	if j.ctx.Err() != nil {
+		j.final = JobCanceled
+	}
+	j.elapsed = time.Since(j.start)
+}
+
+// seal fixes the job's terminal state and returns its final status
+// document without publishing it: pollers and subscribers still see the
+// job running until finish.
+func (j *job) seal() JobStatus {
+	j.mu.Lock()
+	j.sealLocked()
+	final, elapsed := j.final, j.elapsed
+	j.mu.Unlock()
+	st := j.status()
+	st.State = final
+	st.ElapsedMS = elapsed.Milliseconds()
+	return st
+}
+
+// finish publishes the job's terminal state (sealing it first if nothing
+// did) and closes every subscriber.
 func (j *job) finish() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobRunning {
 		return
 	}
-	if j.ctx.Err() != nil {
-		j.state = JobCanceled
-	} else {
-		j.state = JobDone
-	}
-	j.elapsed = time.Since(j.start)
+	j.sealLocked()
+	j.state = j.final
 	for ch := range j.subs {
 		close(ch)
 	}
@@ -411,17 +437,9 @@ func (s *Server) startFuzzJob(cfg fuzz.Config) *job {
 	cfg.Trace = j.tracer.Scope(-1, "fuzz")
 	s.jobs.add(j)
 
-	cfg.Acquire = func(actx context.Context) (func(), error) {
-		select {
-		case s.sem <- struct{}{}:
-			s.inflight.Add(1)
-			return func() { s.inflight.Add(-1); <-s.sem }, nil
-		case <-actx.Done():
-			return nil, actx.Err()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	// The campaign's acquire context derives from the job's, so a
+	// canceled job stops waiting for slots too.
+	cfg.Acquire = s.acquire
 	// Progress feeds both the job's subscribers and the daemon counters
 	// (deltas against the previous snapshot, so totals stay monotonic
 	// across concurrent campaigns).
@@ -469,11 +487,7 @@ func (s *Server) startFuzzJob(cfg fuzz.Config) *job {
 		prev = final.Progress
 		prevMu.Unlock()
 		j.updateFuzz(final)
-		j.finish()
-		if j.stateNow() == JobDone {
-			s.persistObs(j)
-		}
-		st := j.status()
+		st := s.endJob(j)
 		s.logf("promised: fuzz job %s %s (%d iterations, %d findings)", j.id, st.State, final.Iterations, len(final.Findings))
 	}()
 	return j
@@ -537,11 +551,22 @@ func (s *Server) launchJob(id string, tests []*litmus.Test, specs []TestSpec, ba
 					}
 					snap = rc.snaps[cell]
 				}
-				co := cellObs{
+				x := exploration{test: t, backend: b, opts: o, resume: snap,
 					trace:   j.tracer.Scope(cell, b),
 					sampler: j.cellSampler(cell, s.cfg.StatsInterval),
 				}
-				tr := s.runJobCell(ctx, j.id, cell, t, b, o, snap, co)
+				if s.store != nil {
+					// Durable jobs explore in checkpoint legs, each leg's
+					// snapshot persisted: a killed daemon restarts the cell
+					// from the latest one.
+					x.every = s.cfg.CheckpointInterval
+					x.sink = func(leg int, full, _ *explore.Snapshot) error {
+						s.store.putSnap(j.id, cell, full)
+						x.trace.Emit("checkpoint", fmt.Sprintf("leg %d: %d pending, %d states", leg, len(full.Frontier), full.States))
+						return nil
+					}
+				}
+				tr := s.runCell(ctx, x)
 				j.record(cell, tr)
 				// A cell abandoned by a shutdown (or user cancel) reports
 				// timeout/canceled as an artifact of the abort; persisting
@@ -556,20 +581,26 @@ func (s *Server) launchJob(id string, tests []*litmus.Test, specs []TestSpec, ba
 	}
 	go func() {
 		wg.Wait()
-		j.finish()
-		// Terminal jobs release their durable state — except jobs ended by
-		// a server shutdown, which must stay resumable on restart.
-		if j.stateNow() == JobDone || j.userCanceled.Load() {
-			s.store.remove(j.id)
-		}
-		// Finished jobs move to the durable trace store: stage events,
-		// final status and witness traces survive a kill -9 even though
-		// the resumable job state above was just released.
-		if j.stateNow() == JobDone {
-			s.persistObs(j)
-		}
-		st := j.status()
+		st := s.endJob(j)
 		s.logf("promised: job %s %s (%d cells, %d cache hits)", j.id, st.State, j.total, st.CacheHits)
 	}()
 	return j
+}
+
+// endJob is the one tail of batch and fuzz jobs, ordered so a kill at any
+// point leaves the job either resumable or durably finished, never gone.
+// A finished job's record (stage events, final status, witness traces)
+// reaches the durable trace store first; then the resumable state is
+// released — kept for jobs ended by a server shutdown, which must resume
+// on restart — and only then is the terminal state published.
+func (s *Server) endJob(j *job) JobStatus {
+	st := j.seal()
+	if st.State == JobDone {
+		s.persistObs(j, st)
+	}
+	if st.State == JobDone || j.userCanceled.Load() {
+		s.store.remove(j.id)
+	}
+	j.finish()
+	return st
 }

@@ -150,7 +150,8 @@ type Server struct {
 	// a state dir; every method is nil-safe.
 	obsStore *obs.Store
 	// sem is the worker pool: one slot per concurrently running
-	// exploration, shared by synchronous checks and batch-job cells.
+	// exploration, taken only through acquire — by synchronous checks,
+	// batch cells, shard jobs, cluster widening and fuzz candidates.
 	sem  chan struct{}
 	mux  *http.ServeMux
 	jobs *jobTable
@@ -167,8 +168,7 @@ type Server struct {
 	// by Config.MaxPendingCells at admission.
 	pending atomic.Int64
 	// recovered counts jobs re-enqueued from StateDir at startup; shards
-	// counts shard explorations served (POST /v1/shards and completed
-	// shard jobs).
+	// counts shard jobs (POST /v1/shards/jobs) that ran to completion.
 	recovered atomic.Int64
 	shards    atomic.Int64
 	// groups holds the daemon's cross-peer dedup claim tables; shardJobs
@@ -231,7 +231,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
 	s.mux.HandleFunc("POST /v1/check", s.handleCheck)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/shards", s.handleShard)
 	s.mux.HandleFunc("POST /v1/shards/{group}/seen", s.handleShardSeen)
 	s.mux.HandleFunc("POST /v1/shards/{group}/purge", s.handleShardPurge)
 	s.mux.HandleFunc("DELETE /v1/shards/{group}", s.handleShardGroupDrop)
@@ -277,6 +276,12 @@ func New(cfg Config) (*Server, error) {
 // state store, from its cells' latest checkpoints.
 func (s *Server) recoverJobs() {
 	for _, m := range s.store.manifests() {
+		if _, finished := s.obsStore.Get(m.ID); finished {
+			// Killed after the job's durable record was written but before
+			// its resumable state was released: it already finished.
+			s.store.remove(m.ID)
+			continue
+		}
 		tests := make([]*litmus.Test, 0, len(m.Tests))
 		bad := false
 		for _, spec := range m.Tests {
@@ -458,64 +463,183 @@ func checkOptionsValid(o CheckOptions) error {
 // timeouts, aborts and errors depend on the budget that produced them.
 func cacheable(status string) bool { return litmus.Status(status).Complete() }
 
-// cellObs is one cell's observability wiring: the job tracer scope its
-// stage events land on and the sampler its in-flight stats publish
-// through. The zero value (synchronous /v1/check cells) observes nothing
-// — both fields are nil-safe all the way down the engine.
-type cellObs struct {
-	trace   *obs.Trace
-	sampler *obs.Sampler
-}
+// errQueued marks an exploration abandoned while it waited for a worker
+// slot (its context ended first).
+var errQueued = errors.New("canceled while queued")
 
-// apply installs the wiring on a cell's engine options.
-func (co cellObs) apply(eo *explore.Options) {
-	eo.Trace = co.trace
-	eo.Sampler = co.sampler
-}
-
-// runCell checks one (test, backend) cell: cache lookup, then a
-// worker-pool slot, then the exploration itself.
-func (s *Server) runCell(ctx context.Context, t *litmus.Test, backend string, o CheckOptions, co cellObs) TestReport {
-	s.checks.Add(1)
-	key := cacheKey(t, backend, o)
-	if raw, ok := s.cache.Get(key); ok {
-		var tr TestReport
-		if err := json.Unmarshal(raw, &tr); err == nil {
-			s.cacheHits.Add(1)
-			tr.Cached = true
-			return tr
-		}
-	}
-
-	named, err := backends.ResolveNamed(backend)
-	if err != nil {
-		return ReportJSON(litmus.Report{Test: t, Backend: backend, Err: err})
-	}
-
-	// One worker-pool slot per exploration; waiting respects cancellation.
+// acquire takes one worker-pool slot: the daemon-wide bound on concurrent
+// explorations (checks, batch cells, shard jobs, cluster widening and
+// fuzz candidates alike). Waiting respects ctx.
+func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return TestReport{Test: t.Name(), Arch: t.Prog.Arch.String(), Expect: t.Expect.String(),
-			Backend: backend, Status: StatusCanceled, Error: ctx.Err().Error()}
+		return nil, fmt.Errorf("%w: %w", errQueued, ctx.Err())
 	}
 	s.inflight.Add(1)
-	defer func() { s.inflight.Add(-1); <-s.sem }()
+	return func() { s.inflight.Add(-1); <-s.sem }, nil
+}
 
-	eo, timeout := s.exploreOptions(ctx, o)
-	eo.Deadline = time.Now().Add(timeout)
-	co.apply(&eo)
-	v, rerr := litmus.Run(t, named.Run, eo)
-	tr := ReportJSON(litmus.Report{Test: t, Backend: backend, Verdict: v, Err: rerr})
-	if rerr == nil {
-		s.explainWitnesses(t, backend, v, &tr)
+// exploration is one run of the daemon's exploration runner (Server.run).
+// Leaving every optional field zero gives a synchronous check: one
+// uninterrupted leg, no snapshots.
+type exploration struct {
+	test    *litmus.Test
+	backend string
+	opts    CheckOptions
+	// trace and sampler are the job's observability wiring: the tracer
+	// scope stage events land on and the sampler in-flight stats publish
+	// through (nil-safe all the way down the engine).
+	trace   *obs.Trace
+	sampler *obs.Sampler
+	// resume, when non-nil, is the checkpoint the run continues from.
+	resume *explore.Snapshot
+	// setup installs caller-owned engine hooks on top of the defaults.
+	setup func(*explore.Options)
+	// With a sink the run proceeds in checkpoint legs: a timer requests a
+	// cooperative checkpoint every interval, the emitted delta is applied
+	// onto the held full snapshot, sink receives both, and the run resumes
+	// in-process — byte-identically, the legs sharing one certification
+	// cache — until it completes, its budget expires, or it is stopped.
+	every time.Duration
+	sink  func(leg int, full, emitted *explore.Snapshot) error
+	// startLeg, when non-nil, sees each leg's checkpoint controller before
+	// the leg runs (so the caller can request an early checkpoint) and
+	// stops the run there by returning false.
+	startLeg func(*explore.Checkpoint) bool
+}
+
+// run explores x on one worker slot under one wall budget. The verdict is
+// the last leg's, carrying the summed elapsed time and work counters of
+// all legs; those counters reach the daemon totals here and only here.
+// A run stopped by startLeg returns the last leg's verdict (nil before the
+// first leg).
+func (s *Server) run(ctx context.Context, x exploration) (*litmus.Verdict, error) {
+	named, err := backends.ResolveNamed(x.backend)
+	if err != nil {
+		return nil, err
 	}
-	if st := tr.Stats; st != nil {
-		s.certHits.Add(st.CertHits)
-		s.certMisses.Add(st.CertMisses)
-		s.interned.Add(int64(st.Interned))
-		s.symmetryHits.Add(st.SymmetryHits)
-		s.prunedStates.Add(st.PrunedStates)
+	resume, err := backends.ResolveResumer(x.backend)
+	if err != nil {
+		return nil, err
+	}
+	release, err := s.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+
+	eo, timeout := s.exploreOptions(ctx, x.opts)
+	// One wall budget for the whole logical run (a cell recovered after a
+	// restart gets a fresh budget — the daemon cannot know how much the
+	// previous process spent).
+	eo.Deadline = time.Now().Add(timeout)
+	eo.Trace, eo.Sampler = x.trace, x.sampler
+	if x.sink != nil {
+		// The certification cache is scoped to this one test, so legs share
+		// it. Resumed legs emit delta checkpoints: the engine exports only
+		// the seen-set entries the leg added (O(new states)), and the full
+		// snapshot is reassembled here from the held base.
+		eo.CertCache = explore.NewSharedCertCache()
+		eo.DeltaSnapshot = true
+	}
+	if x.setup != nil {
+		x.setup(&eo)
+	}
+
+	var (
+		v       *litmus.Verdict
+		stats   explore.ExploreStats
+		elapsed time.Duration
+	)
+	snap := x.resume
+	for leg := 1; ; leg++ {
+		var timer *time.Timer
+		if x.sink != nil {
+			ck := explore.NewCheckpoint()
+			if x.startLeg != nil && !x.startLeg(ck) {
+				break
+			}
+			eo.Checkpoint = ck
+			timer = time.AfterFunc(x.every, ck.Request)
+		}
+		if snap == nil {
+			v, err = litmus.Run(x.test, named.Run, eo)
+		} else {
+			v, err = litmus.RunFrom(x.test, resume, snap, eo)
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+		if err != nil {
+			break
+		}
+		elapsed += v.Elapsed
+		stats = addLeg(stats, v.Result.Stats)
+		emitted := v.Result.Snapshot
+		if x.sink == nil || emitted == nil {
+			break // completed, timed out or aborted
+		}
+		full := emitted
+		if emitted.Delta {
+			if full, err = explore.ApplyDelta(snap, emitted); err != nil {
+				break
+			}
+		}
+		snap = full
+		if err = x.sink(leg, full, emitted); err != nil {
+			break
+		}
+	}
+	if v != nil {
+		v.Elapsed = elapsed
+		v.Result.Stats = stats
+	}
+	s.certHits.Add(stats.CertHits)
+	s.certMisses.Add(stats.CertMisses)
+	s.interned.Add(int64(stats.Interned))
+	s.symmetryHits.Add(stats.SymmetryHits)
+	s.prunedStates.Add(stats.PrunedStates)
+	return v, err
+}
+
+// addLeg folds one checkpoint leg's stats into the run's. Lookup and
+// reduction counters are per leg (a resumed leg counts from its own
+// start), so they sum; the dedup-set and cache sizes are cumulative, so
+// the latest leg's stand.
+func addLeg(run, leg explore.ExploreStats) explore.ExploreStats {
+	leg.CertHits += run.CertHits
+	leg.CertMisses += run.CertMisses
+	leg.SymmetryHits += run.SymmetryHits
+	leg.PrunedStates += run.PrunedStates
+	return leg
+}
+
+// runCell checks one (test, backend) cell: verdict-cache lookup, then the
+// exploration, then witness explanation and caching. A cell resuming a
+// checkpoint skips the lookup: its snapshot is the authoritative progress.
+func (s *Server) runCell(ctx context.Context, x exploration) TestReport {
+	s.checks.Add(1)
+	key := cacheKey(x.test, x.backend, x.opts)
+	if x.resume == nil {
+		if raw, ok := s.cache.Get(key); ok {
+			var tr TestReport
+			if err := json.Unmarshal(raw, &tr); err == nil {
+				s.cacheHits.Add(1)
+				tr.Cached = true
+				return tr
+			}
+		}
+	}
+	t := x.test
+	v, err := s.run(ctx, x)
+	if errors.Is(err, errQueued) {
+		return TestReport{Test: t.Name(), Arch: t.Prog.Arch.String(), Expect: t.Expect.String(),
+			Backend: x.backend, Status: StatusCanceled, Error: ctx.Err().Error()}
+	}
+	tr := ReportJSON(litmus.Report{Test: t, Backend: x.backend, Verdict: v, Err: err})
+	if err == nil {
+		s.explainWitnesses(t, x.backend, v, &tr)
 	}
 	if cacheable(tr.Status) {
 		if raw, err := json.Marshal(tr); err == nil {
@@ -546,119 +670,6 @@ func (s *Server) explainWitnesses(t *litmus.Test, backend string, v *litmus.Verd
 		shrinks += int64(wt.ShrinkSteps)
 	}
 	s.witnessShrink.Add(shrinks)
-}
-
-// runJobCell checks one batch-job cell. Without a state store it is
-// exactly runCell; with one, the exploration runs in checkpoint legs: a
-// timer requests a cooperative checkpoint every CheckpointInterval, the
-// snapshot is persisted (atomic rename), and the exploration resumes
-// in-process — byte-identically, sharing one certification cache across
-// legs — until it completes or its budget expires. A killed daemon
-// restarts the cell from the latest persisted snapshot. snap, when
-// non-nil, is the checkpoint recovered for this cell at startup.
-func (s *Server) runJobCell(ctx context.Context, jobID string, cell int, t *litmus.Test, backend string, o CheckOptions, snap *explore.Snapshot, co cellObs) TestReport {
-	if s.store == nil {
-		return s.runCell(ctx, t, backend, o, co)
-	}
-	s.checks.Add(1)
-	key := cacheKey(t, backend, o)
-	if snap == nil {
-		// A cell already mid-exploration is resumed, not served from the
-		// verdict cache: its snapshot is the authoritative progress.
-		if raw, ok := s.cache.Get(key); ok {
-			var tr TestReport
-			if err := json.Unmarshal(raw, &tr); err == nil {
-				s.cacheHits.Add(1)
-				tr.Cached = true
-				return tr
-			}
-		}
-	}
-
-	named, err := backends.ResolveNamed(backend)
-	if err != nil {
-		return ReportJSON(litmus.Report{Test: t, Backend: backend, Err: err})
-	}
-	resume, err := backends.ResolveResumer(backend)
-	if err != nil {
-		return ReportJSON(litmus.Report{Test: t, Backend: backend, Err: err})
-	}
-
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return TestReport{Test: t.Name(), Arch: t.Prog.Arch.String(), Expect: t.Expect.String(),
-			Backend: backend, Status: StatusCanceled, Error: ctx.Err().Error()}
-	}
-	s.inflight.Add(1)
-	defer func() { s.inflight.Add(-1); <-s.sem }()
-
-	eo, timeout := s.exploreOptions(ctx, o)
-	// One wall budget for the whole logical run (a cell recovered after a
-	// restart gets a fresh budget — the daemon cannot know how much the
-	// previous process spent). The certification cache is scoped to this
-	// one test, so legs share it.
-	eo.Deadline = time.Now().Add(timeout)
-	eo.CertCache = explore.NewSharedCertCache()
-	// Resumed legs emit delta checkpoints: the engine exports only the
-	// seen-set entries the leg added (O(new states)), and the applied full
-	// — still what the store persists, so recovery stays a single-file
-	// resume — is reassembled here from the held base.
-	eo.DeltaSnapshot = true
-	co.apply(&eo)
-	var (
-		v       *litmus.Verdict
-		rerr    error
-		elapsed time.Duration
-	)
-	for leg := 1; ; leg++ {
-		ck := explore.NewCheckpoint()
-		eo.Checkpoint = ck
-		timer := time.AfterFunc(s.cfg.CheckpointInterval, ck.Request)
-		if snap == nil {
-			v, rerr = litmus.Run(t, named.Run, eo)
-		} else {
-			v, rerr = litmus.RunFrom(t, resume, snap, eo)
-		}
-		timer.Stop()
-		if rerr != nil {
-			break
-		}
-		elapsed += v.Elapsed
-		if v.Result.Snapshot == nil {
-			break // completed, timed out or aborted
-		}
-		if emitted := v.Result.Snapshot; emitted.Delta {
-			snap, rerr = explore.ApplyDelta(snap, emitted)
-			if rerr != nil {
-				break
-			}
-		} else {
-			snap = emitted
-		}
-		s.store.putSnap(jobID, cell, snap)
-		co.trace.Emit("checkpoint", fmt.Sprintf("leg %d: %d pending, %d states", leg, len(snap.Frontier), snap.States))
-	}
-	if v != nil {
-		v.Elapsed = elapsed
-	}
-	tr := ReportJSON(litmus.Report{Test: t, Backend: backend, Verdict: v, Err: rerr})
-	if rerr == nil {
-		s.explainWitnesses(t, backend, v, &tr)
-	}
-	if st := tr.Stats; st != nil {
-		s.certHits.Add(st.CertHits)
-		s.certMisses.Add(st.CertMisses)
-		s.interned.Add(int64(st.Interned))
-		s.symmetryHits.Add(st.SymmetryHits)
-		s.prunedStates.Add(st.PrunedStates)
-	}
-	if cacheable(tr.Status) {
-		if raw, err := json.Marshal(tr); err == nil {
-			s.cache.Put(key, raw)
-		}
-	}
-	return tr
 }
 
 // ---------------------------------------------------------------------
@@ -717,7 +728,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	defer context.AfterFunc(s.base, cancel)()
-	tr := s.runCell(ctx, t, req.Backend, req.Options, cellObs{})
+	tr := s.runCell(ctx, exploration{test: t, backend: req.Backend, opts: req.Options})
 	s.logf("promised: check %s backend=%s status=%s cached=%t", tr.Test, tr.Backend, tr.Status, tr.Cached)
 	writeJSON(w, http.StatusOK, tr)
 }
@@ -771,73 +782,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	j := s.startJob(tests, req.Tests, req.Backends, req.Options)
 	s.logf("promised: job %s started (%d cells)", j.id, j.total)
 	writeJSON(w, http.StatusAccepted, BatchResponse{JobID: j.id, Cells: j.total})
-}
-
-// handleShard explores one frontier shard of a checkpointed exploration
-// synchronously on the worker pool — the scale-out primitive: a
-// coordinator splits a snapshot (explore.Snapshot.Split) and posts one
-// shard per peer daemon, then merges the mergeable-form reports. Shard
-// soundness: every shard carries the split-time seen-set, so the merged
-// outcome set equals the unsharded exploration's; only work (cross-shard
-// revisits) depends on the shard-local seen-sets diverging.
-func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	if !decodeBodyLimit(w, r, &req, 256<<20) {
-		return
-	}
-	t, err := resolveTest(req.TestSpec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkOptionsValid(req.Options); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	snap, err := explore.UnmarshalSnapshot(req.Snapshot)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	backend := req.Backend
-	if backend == "" {
-		backend = snap.Backend
-	}
-	resume, err := backends.ResolveResumer(backend)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	defer context.AfterFunc(s.base, cancel)()
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		writeErr(w, http.StatusServiceUnavailable, "canceled while queued: %v", ctx.Err())
-		return
-	}
-	s.inflight.Add(1)
-	defer func() { s.inflight.Add(-1); <-s.sem }()
-
-	eo, timeout := s.exploreOptions(ctx, req.Options)
-	eo.Deadline = time.Now().Add(timeout)
-	v, rerr := litmus.RunFrom(t, resume, snap, eo)
-	if rerr != nil {
-		writeErr(w, http.StatusBadRequest, "%v", rerr)
-		return
-	}
-	s.shards.Add(1)
-	if st := v.Result.Stats; st != (explore.ExploreStats{}) {
-		s.certHits.Add(st.CertHits)
-		s.certMisses.Add(st.CertMisses)
-		s.interned.Add(int64(st.Interned))
-		s.symmetryHits.Add(st.SymmetryHits)
-		s.prunedStates.Add(st.PrunedStates)
-	}
-	s.logf("promised: shard %s backend=%s frontier=%d states=%d", t.Name(), backend, len(snap.Frontier), v.Result.States)
-	writeJSON(w, http.StatusOK, shardReportOf(v.Result, v.Elapsed.Microseconds()))
 }
 
 // handleFuzz starts a differential fuzzing campaign as a cancelable job.
@@ -1021,13 +965,12 @@ func (s *Server) handleJobWitness(w http.ResponseWriter, r *http.Request) {
 }
 
 // persistObs writes a finished job's observability record — stage
-// events, the final status document, and every witness trace — to the
+// events, the final status document st, and every witness trace — to the
 // durable trace store. Nil-safe (no state dir: no-op).
-func (s *Server) persistObs(j *job) {
+func (s *Server) persistObs(j *job, st JobStatus) {
 	if s.obsStore == nil {
 		return
 	}
-	st := j.status()
 	statusRaw, err := json.Marshal(st)
 	if err != nil {
 		s.logf("promised: job %s: marshal final status: %v", j.id, err)

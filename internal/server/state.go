@@ -72,7 +72,11 @@ func writeAtomic(path string, val []byte) error {
 		}
 		return cerr
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }
 
 func (st *jobStore) manifestPath(id string) string { return filepath.Join(st.dir, id+".json") }

@@ -221,51 +221,19 @@ func TestUserCancelRemovesJobState(t *testing.T) {
 	}
 }
 
-// TestShardEndpoint checks the scale-out primitive end to end: split a
-// checkpointed snapshot, explore each shard on a separate daemon, merge,
-// and compare against the uninterrupted run.
-func TestShardEndpoint(t *testing.T) {
-	ctx := context.Background()
-	_, c1 := newTestServer(t, Config{Workers: 2})
-	_, c2 := newTestServer(t, Config{Workers: 2})
-
-	tst, err := litmus.Parse(sbSrc)
-	if err != nil {
+// TestWriteAtomicFailedRenameLeavesNoTempFile blocks the target path with
+// a non-empty directory: the write must fail and leave no temp file.
+func TestWriteAtomicFailedRenameLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "cell-0.snap")
+	if err := os.MkdirAll(filepath.Join(target, "blocker"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	opts := explore.DefaultOptions()
-	opts.Checkpoint = explore.NewCheckpointAfter(3)
-	v, err := litmus.Run(tst, explore.PromiseFirst, opts)
-	if err != nil {
-		t.Fatal(err)
+	if err := writeAtomic(target, []byte("snapshot")); err == nil {
+		t.Fatal("write over a non-empty directory succeeded")
 	}
-	snap := v.Result.Snapshot
-	if snap == nil {
-		t.Fatal("no snapshot to shard")
-	}
-
-	merged, err := CheckSharded(ctx, []*Client{c1, c2}, TestSpec{Source: sbSrc}, snap, CheckOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := litmus.Run(tst, explore.PromiseFirst, explore.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !explore.SameOutcomes(merged, ref.Result) {
-		t.Errorf("sharded outcome set differs: %d vs %d outcomes", len(merged.Outcomes), len(ref.Result.Outcomes))
-	}
-
-	// A shard posted against the wrong test must be refused (the snapshot
-	// embeds the test's content hash).
-	raw, err := snap.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Shard(ctx, ShardRequest{
-		TestSpec: TestSpec{Source: mediumSrc},
-		Snapshot: raw,
-	}); err == nil {
-		t.Error("shard against a different test succeeded")
+	tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	if len(tmps) != 0 {
+		t.Fatalf("failed rename left temp files: %v", tmps)
 	}
 }

@@ -13,9 +13,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"promising/internal/obs"
 )
 
 // rawGet fetches a URL and returns the exact response body bytes.
@@ -87,6 +90,15 @@ func TestWitnessEndpointsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := waitJobDone(t, c1, br.JobID)
+	// "done" is only ever observable once the job is durable: a second
+	// store over the same directory reads the record back from disk.
+	disk, err := obs.OpenStore(filepath.Join(dir, "obs"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := disk.Get(br.JobID); !ok {
+		t.Fatal("job reads done before its obs record is on disk")
+	}
 	if len(st.Reports) != 1 || st.Reports[0] == nil {
 		t.Fatalf("job reports incomplete: %+v", st)
 	}

@@ -434,9 +434,6 @@ type (
 	JobStatus = server.JobStatus
 	// JobState is a job's lifecycle state (running, done, canceled).
 	JobState = server.JobState
-	// ShardRequest is the body of POST /v1/shards: one frontier shard of
-	// a checkpointed exploration, explored to completion on a peer daemon.
-	ShardRequest = server.ShardRequest
 	// ShardReport is a shard exploration's result in mergeable form.
 	ShardReport = server.ShardReport
 	// ClusterRequest is the body of POST /v1/cluster: one test explored
@@ -456,13 +453,6 @@ const (
 	JobDone     = server.JobDone
 	JobCanceled = server.JobCanceled
 )
-
-// CheckSharded distributes a snapshot's frontier across peer daemons
-// (one POST /v1/shards per peer) and merges the results; see
-// server.CheckSharded.
-func CheckSharded(ctx context.Context, peers []*Client, spec TestSpec, snap *Snapshot, o CheckOptions) (*Result, error) {
-	return server.CheckSharded(ctx, peers, spec, snap, o)
-}
 
 // NewServer builds a model-checking service; mount Handler() yourself or
 // run ListenAndServe.
