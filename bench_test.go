@@ -11,6 +11,8 @@ package promising_test
 //   - BenchmarkAblation* quantify the design choices: promise-first vs
 //     naive interleaving (Theorem 7.1 as a speed-up), and the §7
 //     shared-location optimisation.
+//   - BenchmarkSymmetrySYM5* time thread-symmetry canonicalization on the
+//     naive and flat backends, with allocations.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -174,6 +176,21 @@ func BenchmarkAblationNaive(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSymmetrySYM5* time the SYM-5 row, one class of five
+// interchangeable threads, where thread-symmetry canonicalization runs on
+// every interned state. ReportAllocs: allocations per op divided by the
+// reported states is the allocations-per-state figure of the canonical
+// form.
+func BenchmarkSymmetrySYM5Naive(b *testing.B) {
+	b.ReportAllocs()
+	benchInstance(b, "SYM-5", promising.BackendNaive)
+}
+
+func BenchmarkSymmetrySYM5Flat(b *testing.B) {
+	b.ReportAllocs()
+	benchInstance(b, "SYM-5", promising.BackendFlat)
 }
 
 // BenchmarkCertCache* quantify the exploration-scoped certification cache

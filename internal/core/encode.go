@@ -192,20 +192,20 @@ func EncodeMemory(b []byte, mem *Memory, from Time) []byte {
 	return b
 }
 
-// EncodeMemoryMapped is EncodeMemory with every message's thread id
-// remapped through tidMap (tidMap[old] = new). The thread-symmetry
-// reduction canonicalizes states by reordering interchangeable threads;
-// a message's TID is the only thread-indexed datum in a memory, so the
-// canonical memory encoding relabels it consistently with the chosen
-// thread order. The message sequence itself is not reordered: timestamps
-// (positions) are thread-neutral and must survive canonicalization.
-func EncodeMemoryMapped(b []byte, mem *Memory, from Time, tidMap []int) []byte {
-	msgs := mem.Msgs()
-	b = appendInt(b, int64(len(msgs)-from))
-	for _, w := range msgs[from:] {
+// EncodeMemoryOwners is EncodeMemory (from timestamp 0) that also
+// appends to tidAt the offset in b of every message's thread id, in
+// timestamp order. A message's TID is the only thread-indexed datum in a
+// memory, and a thread id below 64 encodes as the single varint byte
+// 2*tid, so the thread-symmetry reduction relabels threads by rewriting
+// those bytes in place (explore.Symmetry.CanonicalState). The message
+// sequence itself is never reordered: timestamps are thread-neutral.
+func EncodeMemoryOwners(b []byte, mem *Memory, tidAt []int) ([]byte, []int) {
+	b = appendInt(b, int64(len(mem.msgs)))
+	for _, w := range mem.msgs {
 		b = appendInt(b, w.Loc)
 		b = appendInt(b, w.Val)
-		b = appendInt(b, int64(tidMap[w.TID]))
+		tidAt = append(tidAt, len(b))
+		b = appendInt(b, int64(w.TID))
 	}
-	return b
+	return b, tidAt
 }

@@ -112,21 +112,9 @@ func naiveRun(cp *lang.CompiledProgram, spec *ObsSpec, opts Options, snap *Snaps
 	// set in concrete (todo) and canonical (ctodo) form, plus whether the
 	// child is dropped instead of pushed (nothing left to expand here).
 	addState := func(m *core.Machine, child bool, sleep uint32) (h core.Handle, fresh bool, order []int, todo, ctodo uint32, drop bool) {
-		b := core.GetEncBuf()
-		if sym != nil {
-			encs := make([][]byte, nThreads)
-			for t, th := range m.Threads {
-				encs[t] = core.EncodeThread(nil, th)
-			}
-			var hit bool
-			b, order, hit = sym.CanonicalState(b, encs, func(bb []byte, tidMap []int) []byte {
-				return core.EncodeMemoryMapped(bb, m.Mem, 0, tidMap)
-			})
-			if hit {
-				symHits.Add(1)
-			}
-		} else {
-			b = m.AppendState(b)
+		b, order, hit := appendNaiveKey(core.GetEncBuf(), m, sym)
+		if hit {
+			symHits.Add(1)
 		}
 		h, fresh = seen.Add(b)
 		if child {
@@ -372,4 +360,25 @@ func emitCertSummary(tr *obs.Trace, st ExploreStats) {
 	}
 	tr.Emit("certify-summary", fmt.Sprintf("hits=%d misses=%d entries=%d hit-rate=%.1f%%",
 		st.CertHits, st.CertMisses, st.CertEntries, 100*st.CertHitRate()))
+}
+
+// appendNaiveKey appends m's dedup key to b: the machine encoding, or
+// with sy its symmetry-canonical form, whose class members are ordered by
+// their thread encoding and owned timestamps (reduce.go). It returns the
+// canonicalizing order (nil = identity) and whether it moved a thread.
+func appendNaiveKey(b []byte, m *core.Machine, sy *Symmetry) ([]byte, []int, bool) {
+	if sy == nil {
+		return m.AppendState(b), nil, false
+	}
+	var at [64]int
+	b, tidAt := core.EncodeMemoryOwners(b, m.Mem, at[:0])
+	var ends [MaxReductionThreads]int
+	tb := core.GetEncBuf()
+	for t, th := range m.Threads {
+		tb = core.EncodeThread(tb, th)
+		ends[t] = len(tb)
+	}
+	b, order, hit := sy.CanonicalState(b, tidAt, tb, ends[:len(m.Threads)])
+	core.PutEncBuf(tb)
+	return b, order, hit
 }

@@ -308,9 +308,10 @@ type ExploreStats struct {
 	// explored program (zero when symmetry reduction was off or the
 	// program has no interchangeable threads).
 	SymmetryClasses int
-	// SymmetryHits counts state encodings whose canonical form differed
-	// from the concrete one — each hit is a symmetric permutation
-	// collapsed into an already-known orbit representative.
+	// SymmetryHits counts state encodings whose canonical thread order
+	// moved a thread, i.e. whose canonical key differs from the concrete
+	// one (the interned key is then another orbit member's encoding).
+	// Fresh and repeated arrivals both count.
 	SymmetryHits int64
 	// PrunedStates counts thread-family expansions suppressed by
 	// independence pruning (sleep sets). Pruning skips redundant

@@ -68,10 +68,11 @@ func pfRun(cp *lang.CompiledProgram, spec *ObsSpec, opts Options, snap *Snapshot
 	}
 	if opts.Reductions.Symmetry() && !opts.CollectWitnesses {
 		// Thread-symmetry reduction: phase-1 memories are deduplicated on
-		// their canonical (lexicographically least permuted) encoding, so
-		// only one orbit representative per memory orbit is completed and
-		// expanded; CloseOutcomes restores the collapsed orbit images at
-		// the end. Pruning does not apply — phase 1 interleaves only
+		// their canonical encoding (class members sorted by the
+		// timestamps they own; every thread is still initial, so its
+		// encoding never breaks a tie), so only one representative per
+		// memory orbit is completed and expanded; CloseOutcomes restores
+		// the collapsed orbit images at the end. Pruning does not apply — phase 1 interleaves only
 		// promise steps, which are never independent (each appends to the
 		// shared memory).
 		e.sym = NewSymmetry(cp, spec)

@@ -21,15 +21,38 @@ import (
 // invariant under permuting them, and every transition rule treats thread
 // ids opaquely (a message's TID is only ever compared against the acting
 // thread's own id), so any permutation of a symmetry class maps reachable
-// states to reachable states and outcomes to outcomes. Exploration
-// therefore dedups on a canonical representative of each permutation
-// orbit: the lexicographically least encoding over all class
-// permutations. Since the interner/SeenSet is the single dedup choke
-// point, every backend inherits the reduction by canonicalizing the key
-// it interns. Outcome sets are made permutation-closed at the end of the
-// run (the image of a reachable outcome under a class permutation is
-// reachable, by the same symmetry), which is what makes reduced and
-// unreduced outcome sets byte-identical.
+// states to reachable states and outcomes to outcomes (Ip & Dill 1996;
+// Emerson & Sistla 1996). Exploration therefore dedups on one canonical
+// representative per permutation orbit. Since the interner/SeenSet is the
+// single dedup choke point, every backend inherits the reduction by
+// canonicalizing the key it interns. Outcome sets are made
+// permutation-closed at the end of the run (the image of a reachable
+// outcome under a class permutation is reachable, by the same symmetry),
+// which is what makes reduced and unreduced outcome sets byte-identical.
+//
+// The representative is found by sorting, not by enumerating
+// permutations. A message's TID is the only thread-indexed datum in a
+// state (thread encodings hold timestamps and history positions, which
+// permutations preserve), so each thread has a permutation-invariant
+// signature: its encoding plus the positions of the messages it owns.
+// Each class is stable-sorted by (encoding, first owned position, none
+// first) — the same order as comparing whole owned-position lists, which
+// are disjoint and so differ in their first element — the memory's TIDs
+// are relabeled to the sorted slots and the thread encodings appended in
+// slot order. Every orbit member yields the same key, and a key is the
+// encoding of a permuted state, so equal keys mean one orbit: the form
+// is exact in O(n log n) per state, with no cap on class size.
+//
+// Ties. Two class members tie only when their encodings are equal and
+// neither owns a message (no two threads own one position). Ties are
+// broken by concrete tid, so the order, and the CanonMask frame built on
+// it, is a deterministic function of the concrete state. Any tie-break
+// would be sound: the order relabels the concrete state onto the
+// canonical one (an isomorphism), so a family claimed at canonical slot
+// k means the same expansion from every orbit member, and swapping tied
+// members is an automorphism of the canonical state. That keeps the
+// per-family claims of ClaimTable and of the cluster's cross-shard claim
+// protocol comparable across the representatives of one orbit.
 //
 // Independence pruning (sleep sets, Godefroid): when the step taken at a
 // state commutes with every step of some other thread family, exploring
@@ -137,23 +160,19 @@ func (o *Options) EffectiveReductions(backend string) string {
 }
 
 // MaxReductionThreads bounds the thread count the bitmask-based pruning
-// and the permutation-based canonicalization handle; programs with more
-// threads run unreduced. Aux words pack two 30-bit masks plus a flag.
+// and the symmetry canonicalization handle; programs with more threads
+// run unreduced. Aux words pack two 30-bit masks plus a flag, and every
+// thread id stays a one-byte varint in the keys CanonicalState relabels.
 const MaxReductionThreads = 30
-
-// symPermCap bounds the number of class permutations enumerated per
-// state (6 threads in one class). Beyond the cap symmetry is disabled
-// for the test — sound, just unreduced.
-const symPermCap = 720
 
 // Symmetry is the thread-symmetry structure of one compiled program
 // under an observation spec: the partition of interchangeable threads
-// and the enumerated class permutations.
+// and the outcome remaps of the adjacent in-class transpositions, which
+// generate every class permutation.
 type Symmetry struct {
 	n       int
 	classes [][]int // nontrivial classes (>= 2 members), ascending tids
-	orders  [][]int // every class permutation; orders[0] is the identity
-	regMaps [][]int // per order: outcome reg index remap for closure
+	swaps   [][]int // per adjacent in-class transposition: outcome reg index remap
 }
 
 type regKey struct {
@@ -162,11 +181,11 @@ type regKey struct {
 }
 
 // NewSymmetry analyses cp and returns its symmetry structure, or nil when
-// no two threads are interchangeable (or the program exceeds the thread or
-// permutation caps). Two threads are classed together when their compiled
-// code is structurally identical and the spec observes the same register
-// set in both (so permuting them permutes outcome fields rather than
-// inventing or dropping any).
+// no two threads are interchangeable (or the program exceeds the thread
+// cap). Two threads are classed together when their compiled code is
+// structurally identical and the spec observes the same register set in
+// both (so permuting them permutes outcome fields rather than inventing
+// or dropping any).
 func NewSymmetry(cp *lang.CompiledProgram, spec *ObsSpec) *Symmetry {
 	n := len(cp.Threads)
 	if n < 2 || n > MaxReductionThreads {
@@ -207,26 +226,28 @@ func NewSymmetry(cp *lang.CompiledProgram, spec *ObsSpec) *Symmetry {
 	if len(classes) == 0 {
 		return nil
 	}
-	orders := classPerms(n, classes)
-	if orders == nil {
-		return nil
-	}
-	sy := &Symmetry{n: n, classes: classes, orders: orders}
+	sy := &Symmetry{n: n, classes: classes}
 	idx := make(map[regKey]int, len(spec.Regs))
 	for i, ro := range spec.Regs {
 		idx[regKey{ro.TID, ro.Reg}] = i
 	}
-	sy.regMaps = make([][]int, len(orders))
-	for p, o := range orders {
-		m := make([]int, len(spec.Regs))
-		for i, ro := range spec.Regs {
-			j, ok := idx[regKey{o[ro.TID], ro.Reg}]
-			if !ok {
-				return nil // same-reg-set classing makes this unreachable
+	for _, cls := range classes {
+		for k := 0; k+1 < len(cls); k++ {
+			swap := map[int]int{cls[k]: cls[k+1], cls[k+1]: cls[k]}
+			m := make([]int, len(spec.Regs))
+			for i, ro := range spec.Regs {
+				tid, ok := swap[ro.TID]
+				if !ok {
+					tid = ro.TID
+				}
+				j, ok := idx[regKey{tid, ro.Reg}]
+				if !ok {
+					return nil // same-reg-set classing makes this unreachable
+				}
+				m[i] = j
 			}
-			m[i] = j
+			sy.swaps = append(sy.swaps, m)
 		}
-		sy.regMaps[p] = m
 	}
 	return sy
 }
@@ -243,64 +264,6 @@ func sameRegs(a, b []lang.Reg) bool {
 	return true
 }
 
-// classPerms enumerates the product of within-class permutations as order
-// slices (order[slot] = original thread id), identity first; nil when the
-// product exceeds symPermCap.
-func classPerms(n int, classes [][]int) [][]int {
-	total := 1
-	for _, cls := range classes {
-		for i := 2; i <= len(cls); i++ {
-			total *= i
-		}
-		if total > symPermCap {
-			return nil
-		}
-	}
-	id := make([]int, n)
-	for i := range id {
-		id[i] = i
-	}
-	orders := [][]int{id}
-	for _, cls := range classes {
-		next := make([][]int, 0, len(orders))
-		for _, base := range orders {
-			forEachPerm(len(cls), func(p []int) {
-				o := append([]int(nil), base...)
-				for i, pi := range p {
-					o[cls[i]] = cls[pi]
-				}
-				next = append(next, o)
-			})
-		}
-		orders = next
-	}
-	return orders
-}
-
-// forEachPerm calls f with every permutation of [0..n) in lexicographic
-// order (the identity first); the slice is reused across calls.
-func forEachPerm(n int, f func([]int)) {
-	p := make([]int, n)
-	used := make([]bool, n)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			f(p)
-			return
-		}
-		for v := 0; v < n; v++ {
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			p[i] = v
-			rec(i + 1)
-			used[v] = false
-		}
-	}
-	rec(0)
-}
-
 // Classes returns the number of nontrivial symmetry classes (the
 // SymmetryClasses stat).
 func (sy *Symmetry) Classes() int {
@@ -310,83 +273,119 @@ func (sy *Symmetry) Classes() int {
 	return len(sy.classes)
 }
 
-// Threads returns the thread count the structure was built for.
-func (sy *Symmetry) Threads() int { return sy.n }
-
-// CanonicalState appends the canonical dedup key of a state given its
-// per-thread encodings: the lexicographically least, over all class
-// permutations, of the memory section (thread ids remapped through the
-// permutation) followed by the thread encodings in permuted order — the
-// exact section order of the unreduced keys, so reduced and unreduced
-// runs intern keys of the same shape. encodeMem appends the memory
-// section under a tidMap (tidMap[old] = new). It returns the key, the
-// winning order (order[slot] = original thread; nil means identity) and
-// whether the canonical form differs from the concrete one (a symmetry
-// hit).
-func (sy *Symmetry) CanonicalState(b []byte, threadEnc [][]byte, encodeMem func(b []byte, tidMap []int) []byte) ([]byte, []int, bool) {
-	var best []byte
-	bestIdx := 0
-	tidMap := make([]int, sy.n)
-	for oi, order := range sy.orders {
-		for slot, old := range order {
-			tidMap[old] = slot
-		}
-		cand := encodeMem(nil, tidMap)
-		for _, old := range order {
-			cand = append(cand, threadEnc[old]...)
-		}
-		if best == nil || bytes.Compare(cand, best) < 0 {
-			best, bestIdx = cand, oi
+// CanonicalState canonicalizes a state key in place and completes it. On
+// entry b ends with the memory section encoded under the concrete thread
+// ids, and tidAt holds the offset in b of every message's one-byte varint
+// thread id, in the encoder's thread-neutral message order (entry k is
+// position k). Thread t's encoding is threads[ends[t-1]:ends[t]] (from 0
+// for t = 0); nil ends means every thread is initial (promise-first phase
+// 1). The classes are sorted as the header describes, the memory's
+// thread ids rewritten to the sorted slots and the thread encodings
+// appended in slot order — the section order of the unreduced keys. It
+// returns the key, the order (order[slot] = concrete thread; nil =
+// identity) and whether the order moved a thread, which is what
+// SymmetryHits counts.
+func (sy *Symmetry) CanonicalState(b []byte, tidAt []int, threads []byte, ends []int) ([]byte, []int, bool) {
+	var first, order, tidMap [MaxReductionThreads]int
+	for t := 0; t < sy.n; t++ {
+		first[t], order[t] = -1, t
+	}
+	for k, off := range tidAt {
+		if t := b[off] >> 1; first[t] < 0 {
+			first[t] = k
 		}
 	}
-	return append(b, best...), sy.orders[bestIdx], bestIdx != 0
+	enc := func(t int) []byte {
+		if t == 0 {
+			return threads[:ends[0]]
+		}
+		return threads[ends[t-1]:ends[t]]
+	}
+	before := func(a, c int) bool {
+		if ends != nil {
+			if d := bytes.Compare(enc(a), enc(c)); d != 0 {
+				return d < 0
+			}
+		}
+		if first[a] != first[c] {
+			return first[a] < first[c]
+		}
+		return a < c
+	}
+	moved := false
+	var members [MaxReductionThreads]int
+	for _, cls := range sy.classes {
+		m := members[:len(cls)]
+		copy(m, cls)
+		for i := 1; i < len(m); i++ {
+			for j := i; j > 0 && before(m[j], m[j-1]); j-- {
+				m[j], m[j-1] = m[j-1], m[j]
+			}
+		}
+		for i, t := range m {
+			order[cls[i]] = t
+			moved = moved || t != cls[i]
+		}
+	}
+	if !moved {
+		return append(b, threads...), nil, false
+	}
+	for slot := 0; slot < sy.n; slot++ {
+		tidMap[order[slot]] = slot
+	}
+	for _, off := range tidAt {
+		b[off] = byte(tidMap[b[off]>>1] << 1)
+	}
+	for slot := 0; slot < sy.n && ends != nil; slot++ {
+		b = append(b, enc(order[slot])...)
+	}
+	return b, append([]int(nil), order[:sy.n]...), true
 }
 
 // CanonicalMemory appends the canonical encoding of a bare memory (the
-// promise-first phase-1 state): the lexicographically least
-// thread-id-remapped encoding over all class permutations. The second
+// promise-first phase-1 state, where every thread is still initial and a
+// class member's signature is its owned timestamps alone). The second
 // result reports a symmetry hit.
 func (sy *Symmetry) CanonicalMemory(b []byte, mem *core.Memory) ([]byte, bool) {
-	var best []byte
-	bestIdx := 0
-	tidMap := make([]int, sy.n)
-	for oi, order := range sy.orders {
-		for slot, old := range order {
-			tidMap[old] = slot
-		}
-		cand := core.EncodeMemoryMapped(nil, mem, 0, tidMap)
-		if best == nil || bytes.Compare(cand, best) < 0 {
-			best, bestIdx = cand, oi
-		}
-	}
-	return append(b, best...), bestIdx != 0
+	var at [64]int
+	b, tidAt := core.EncodeMemoryOwners(b, mem, at[:0])
+	b, _, hit := sy.CanonicalState(b, tidAt, nil, nil)
+	return b, hit
 }
 
 // CloseOutcomes closes the result's outcome set under the class
-// permutations: for every recorded outcome, its image under every
+// permutations: the image of every recorded outcome under every class
 // permutation is recorded too. Images of reachable outcomes are reachable
 // (permutations are automorphisms of the transition system), so closure
 // adds nothing an unreduced run would not find — and it restores exactly
 // the orbit members a canonicalized run collapsed, making reduced and
-// unreduced outcome sets byte-identical. One pass suffices: the
-// permutations form a group. Observed memory locations are
-// thread-neutral and pass through unchanged. Idempotent, so re-closing
-// after a resume merge is safe.
+// unreduced outcome sets byte-identical. The adjacent in-class
+// transpositions generate the group, so a worklist closure under them
+// reaches every image at a cost of (closed set size) x (generators).
+// Observed memory locations are thread-neutral and pass through
+// unchanged. Idempotent, so re-closing after a resume merge is safe.
 func (sy *Symmetry) CloseOutcomes(res *Result) {
 	if sy == nil {
 		return
 	}
-	base := make([]Outcome, 0, len(res.Outcomes))
+	work := make([]Outcome, 0, len(res.Outcomes))
 	for _, o := range res.Outcomes {
-		base = append(base, o)
+		work = append(work, o)
 	}
-	for _, rm := range sy.regMaps[1:] {
-		for _, o := range base {
+	for len(work) > 0 {
+		o := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, rm := range sy.swaps {
 			regs := make([]lang.Val, len(o.Regs))
 			for i := range regs {
 				regs[i] = o.Regs[rm[i]]
 			}
-			res.add(Outcome{Regs: regs, Mem: o.Mem}, nil)
+			img := Outcome{Regs: regs, Mem: o.Mem}
+			k := img.Key()
+			if _, ok := res.Outcomes[k]; !ok {
+				res.Outcomes[k] = img
+				work = append(work, img)
+			}
 		}
 	}
 }

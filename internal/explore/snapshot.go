@@ -34,8 +34,12 @@ import (
 // exceed the unsharded counts (by exactly the cross-shard revisits).
 
 // SnapshotVersion is the serialization format version; Resume refuses
-// snapshots from other versions.
-const SnapshotVersion = 1
+// snapshots from other versions. Version 2 holds the sort-based
+// symmetry-canonical seen-set keys (reduce.go); a version-1 seen set
+// holds the older least-over-all-permutations keys, which the current
+// explorers never produce, so resuming one would revisit and
+// double-count its states.
+const SnapshotVersion = 2
 
 // Backend tags stamped into snapshots. They equal the registry names in
 // internal/backends (which this package cannot import — the registry

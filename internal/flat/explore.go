@@ -84,14 +84,8 @@ func run(cp *lang.CompiledProgram, spec *explore.ObsSpec, opts explore.Options, 
 	addState := func(m *machine, child bool, sleep uint32) (h core.Handle, fresh bool, order []int, todo, ctodo uint32, drop bool) {
 		b := core.GetEncBuf()
 		if sym != nil {
-			encs := make([][]byte, nThreads)
-			for t := range m.threads {
-				encs[t] = m.appendThreadKey(nil, t)
-			}
 			var hit bool
-			b, order, hit = sym.CanonicalState(b, encs, func(bb []byte, tidMap []int) []byte {
-				return m.appendMemKey(bb, tidMap)
-			})
+			b, order, hit = m.appendSymKey(b, sym)
 			if hit {
 				symHits.Add(1)
 			}

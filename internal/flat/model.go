@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"sort"
 
+	"promising/internal/core"
+	"promising/internal/explore"
 	"promising/internal/lang"
 )
 
@@ -122,6 +124,9 @@ type memWrite struct {
 // histories.
 type memory struct {
 	hist map[lang.Loc][]memWrite
+	// locs lists hist's locations in ascending order, the order the key
+	// walks them. Clones share it; push replaces it, never mutates it.
+	locs []lang.Loc
 	init map[lang.Loc]lang.Val
 }
 
@@ -130,7 +135,7 @@ func newMemory(init map[lang.Loc]lang.Val) *memory {
 }
 
 func (m *memory) clone() *memory {
-	out := &memory{hist: make(map[lang.Loc][]memWrite, len(m.hist)), init: m.init}
+	out := &memory{hist: make(map[lang.Loc][]memWrite, len(m.hist)), locs: m.locs, init: m.init}
 	for l, ws := range m.hist {
 		out.hist[l] = append([]memWrite(nil), ws...)
 	}
@@ -146,6 +151,12 @@ func (m *memory) current(l lang.Loc) lang.Val {
 }
 
 func (m *memory) push(l lang.Loc, v lang.Val, tid int) {
+	if _, ok := m.hist[l]; !ok {
+		i := sort.Search(len(m.locs), func(i int) bool { return m.locs[i] >= l })
+		locs := make([]lang.Loc, 0, len(m.locs)+1)
+		locs = append(append(append(locs, m.locs[:i]...), l), m.locs[i:]...)
+		m.locs = locs
+	}
 	m.hist[l] = append(m.hist[l], memWrite{val: v, tid: tid})
 }
 
@@ -217,38 +228,54 @@ func newMachine(cp *lang.CompiledProgram) *machine {
 func (m *machine) key() string { return string(m.appendKey(nil)) }
 
 func (m *machine) appendKey(b []byte) []byte {
-	b = m.appendMemKey(b, nil)
+	b, _ = m.appendMemKey(b, nil)
 	for tid := range m.threads {
 		b = m.appendThreadKey(b, tid)
 	}
 	return b
 }
 
-// appendMemKey appends the memory section of the machine key. tidMap,
-// when non-nil, remaps each write's thread id (tidMap[old] = new) — the
-// thread-symmetry reduction's relabeling; a write's tid is the only
-// thread-indexed datum in the memory (propagation indices are positions
-// within a location's history, which permutations preserve).
-func (m *machine) appendMemKey(b []byte, tidMap []int) []byte {
-	locs := make([]lang.Loc, 0, len(m.mem.hist))
-	for l := range m.mem.hist {
-		locs = append(locs, l)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	b = binary.AppendVarint(b, int64(len(locs)))
-	for _, l := range locs {
+// appendMemKey appends the memory section of the machine key, walking
+// the locations in ascending order. With a non-nil tidAt it also appends
+// the offset in b of every write's one-byte thread id, in walk order. A
+// write's tid is the only thread-indexed datum in the memory (propagation
+// indices are positions within a location's history, which permutations
+// preserve), so a write's ordinal in this walk is a thread-neutral
+// position: the symmetry reduction signs each thread with the ordinals
+// it owns and relabels the tids in place (explore.Symmetry.CanonicalState).
+func (m *machine) appendMemKey(b []byte, tidAt []int) ([]byte, []int) {
+	b = binary.AppendVarint(b, int64(len(m.mem.locs)))
+	for _, l := range m.mem.locs {
+		ws := m.mem.hist[l]
 		b = binary.AppendVarint(b, l)
-		b = binary.AppendVarint(b, int64(len(m.mem.hist[l])))
-		for _, w := range m.mem.hist[l] {
+		b = binary.AppendVarint(b, int64(len(ws)))
+		for _, w := range ws {
 			b = binary.AppendVarint(b, w.val)
-			tid := w.tid
-			if tidMap != nil {
-				tid = tidMap[tid]
+			if tidAt != nil {
+				tidAt = append(tidAt, len(b))
 			}
-			b = binary.AppendVarint(b, int64(tid))
+			b = binary.AppendVarint(b, int64(w.tid))
 		}
 	}
-	return b
+	return b, tidAt
+}
+
+// appendSymKey appends the machine's symmetry-canonical key: the memory
+// section and the thread sections, class members ordered by their
+// thread section and owned write ordinals. It returns the canonicalizing
+// order (nil = identity) and whether it moved a thread.
+func (m *machine) appendSymKey(b []byte, sy *explore.Symmetry) ([]byte, []int, bool) {
+	var at [64]int
+	b, tidAt := m.appendMemKey(b, at[:0])
+	var ends [explore.MaxReductionThreads]int
+	tb := core.GetEncBuf()
+	for t := range m.threads {
+		tb = m.appendThreadKey(tb, t)
+		ends[t] = len(tb)
+	}
+	b, order, hit := sy.CanonicalState(b, tidAt, tb, ends[:len(m.threads)])
+	core.PutEncBuf(tb)
+	return b, order, hit
 }
 
 // appendThreadKey appends one thread's section of the machine key. All

@@ -3,6 +3,7 @@ package litmus
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"promising/internal/axiomatic"
@@ -136,6 +137,114 @@ thread 2 { r0 = load [x]; store [x] 1; }
 exists 0:r0=0 && 1:r0=0 && 2:r0=0
 `
 
+// symRow builds the SYM-n workload row's program (internal/workloads,
+// which imports this package): n identical claimants that load a shared
+// slot and then store to it, every r0 observed — one symmetry class of n
+// threads, n! permutations.
+func symRow(t testing.TB, n int) *Test {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "arch arm\nname SYM-%d\nlocs slot\n", n)
+	conds := make([]string, n)
+	for i := range conds {
+		fmt.Fprintf(&b, "thread %d { r0 = load [slot]; store [slot] 1; }\n", i)
+		conds[i] = fmt.Sprintf("%d:r0=0", i)
+	}
+	fmt.Fprintf(&b, "exists %s\n", strings.Join(conds, " && "))
+	tst, err := Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tst
+}
+
+// symRowCells are the symmetric rows whose classes exceed the catalog's
+// (rarely more than 2 members): the rows the sort-based canonical form
+// changes most. The exactness suites run each under its backend.
+var symRowCells = []struct {
+	n int
+	b ckptBackend
+}{
+	{5, machineCkptBackends[1]}, // naive
+	{5, otherCkptBackends[0]},   // flat
+	{7, machineCkptBackends[0]}, // promising
+}
+
+// TestSymmetricRowsReductionsEquivalent extends the reductions on/off
+// certification to SYM-4, SYM-5 and SYM-7, at Parallelism 1 and 2. On
+// SYM-4 each interleaving backend is compared with its own unreduced run.
+// An unreduced SYM-5 run is out of reach for them (naive: 2.1M states,
+// over a minute; flat: past its 500k budget), so SYM-5 under each
+// reduction mode is compared with unreduced promise-first, which the
+// differential suites tie to both. SYM-7 promise-first is compared with
+// its own unreduced run (551k states, about 4 s; skipped under -short).
+func TestSymmetricRowsReductionsEquivalent(t *testing.T) {
+	sym5 := symRow(t, 5)
+	off := explore.DefaultOptions()
+	off.Reductions = explore.ReduceOff
+	ref5, err := Run(sym5, explore.PromiseFirst, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, br := range reductionRunners {
+		if br.name != "naive" && br.name != "flat" {
+			continue
+		}
+		for _, par := range reductionParallelisms() {
+			opts := explore.DefaultOptions()
+			opts.Parallelism = par
+			sym4 := symRow(t, 4)
+			opts.Reductions = explore.ReduceOff
+			ref4, err := Run(sym4, br.run, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []explore.ReductionMode{explore.ReduceOn, explore.ReduceSymmetry} {
+				opts.Reductions = mode
+				for _, c := range []struct {
+					tst *Test
+					ref *Verdict
+				}{{sym4, ref4}, {sym5, ref5}} {
+					v, err := Run(c.tst, br.run, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !explore.SameOutcomes(v.Result, c.ref.Result) || v.Allowed != c.ref.Allowed {
+						t.Errorf("%s/%s/par%d/%v: outcome set differs from the unreduced reference\ngot:\n%s\nwant:\n%s",
+							c.tst.Name(), br.name, par, mode,
+							FormatOutcomes(v.Spec, v.Result, c.tst.Prog),
+							FormatOutcomes(c.ref.Spec, c.ref.Result, c.tst.Prog))
+					}
+					if v.Result.Stats.SymmetryClasses != 1 {
+						t.Errorf("%s/%s: SymmetryClasses = %d, want 1", c.tst.Name(), br.name, v.Result.Stats.SymmetryClasses)
+					}
+				}
+			}
+		}
+	}
+	if testing.Short() {
+		t.Skip("SYM-7 unreduced promise-first takes about 4 s")
+	}
+	sym7 := symRow(t, 7)
+	on := explore.DefaultOptions()
+	vOn, err := Run(sym7, explore.PromiseFirst, on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vOff, err := Run(sym7, explore.PromiseFirst, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameKeys(outcomeKeys(vOn.Result), outcomeKeys(vOff.Result)) || vOn.Allowed != vOff.Allowed {
+		t.Errorf("SYM-7/promising: reduced and unreduced outcome sets differ (%d vs %d outcomes)",
+			len(vOn.Result.Outcomes), len(vOff.Result.Outcomes))
+	}
+	if vOn.Result.Stats.SymmetryClasses != 1 || 10*vOn.Result.States > vOff.Result.States {
+		t.Errorf("SYM-7/promising: want one class and a >10x reduction, got %d classes, %d vs %d states",
+			vOn.Result.Stats.SymmetryClasses, vOn.Result.States, vOff.Result.States)
+	}
+}
+
 // TestSymmetricReductionShrinksStateSpace checks the reduction pays:
 // on the fully symmetric program, symmetry canonicalization must detect
 // the class and cut the interleaving backends' state counts at least in
@@ -184,11 +293,11 @@ func TestSymmetricReductionShrinksStateSpace(t *testing.T) {
 }
 
 // TestConcurrentCanonicalization stresses the shared canonicalization
-// paths — the interner-backed seen set, the claim table and the symmetry
-// orbit enumeration — with many workers hammering one exploration. Run
-// under -race this is the concurrency certification for the reduction
-// layer; in any mode it checks parallel reduced runs stay equivalent to a
-// sequential unreduced one.
+// paths — the interner-backed seen set, the claim table and the
+// sort-based symmetry canonical form — with many workers hammering one
+// exploration. Run under -race this is the concurrency certification for
+// the reduction layer; in any mode it checks parallel reduced runs stay
+// equivalent to a sequential unreduced one.
 func TestConcurrentCanonicalization(t *testing.T) {
 	tst, err := Parse(symmetricSrc)
 	if err != nil {

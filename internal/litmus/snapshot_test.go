@@ -153,6 +153,28 @@ func TestSnapshotResumeEquivalenceOtherBackends(t *testing.T) {
 	}
 }
 
+// TestSnapshotResumeEquivalenceSymmetricRows extends the round-trip
+// suite to the symmetric rows (symRowCells): their seen-sets hold
+// canonical keys of classes up to 7 members, and a resumed leg must
+// re-derive exactly the same keys.
+func TestSnapshotResumeEquivalenceSymmetricRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	multiLeg := 0
+	for _, c := range symRowCells {
+		tst := symRow(t, c.n)
+		for _, par := range []int{1, 2} {
+			opts := explore.DefaultOptions()
+			opts.Parallelism = par
+			if checkCkptEquivalence(t, tst, c.b, rng, opts, opts) > 1 {
+				multiLeg++
+			}
+		}
+	}
+	if multiLeg < 4 {
+		t.Errorf("only %d runs actually checkpointed and resumed", multiLeg)
+	}
+}
+
 // TestSnapshotResumeSharedCertCache checks byte-identity when the
 // checkpointed legs share one certification cache (the daemon's
 // in-process resume path): a cache carried across legs must not change
@@ -179,7 +201,8 @@ func TestSnapshotResumeSharedCertCache(t *testing.T) {
 }
 
 // TestSnapshotResumeRejectsMismatch pins the snapshot validation: wrong
-// backend, wrong certify flag, wrong test, witness collection.
+// backend, wrong certify flag, wrong test, witness collection, older
+// format version.
 func TestSnapshotResumeRejectsMismatch(t *testing.T) {
 	tst := CatalogTest("MP")
 	opts := explore.DefaultOptions()
@@ -210,6 +233,20 @@ func TestSnapshotResumeRejectsMismatch(t *testing.T) {
 	other := CatalogTest("SB")
 	if _, err := RunFrom(other, explore.ResumePromiseFirst, snap, resumeOpts); err == nil {
 		t.Error("resume against a different test succeeded")
+	}
+	// A snapshot of an older format carries seen-set keys in another
+	// canonical form: refused on resume and on load, never merged.
+	old := *snap
+	old.Version = explore.SnapshotVersion - 1
+	if _, err := RunFrom(tst, explore.ResumePromiseFirst, &old, resumeOpts); err == nil {
+		t.Error("resume of an older-version snapshot succeeded")
+	}
+	raw, err := old.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := explore.UnmarshalSnapshot(raw); err == nil {
+		t.Error("loading an older-version snapshot succeeded")
 	}
 }
 
@@ -302,6 +339,29 @@ func TestSnapshotSplitMergeOtherBackends(t *testing.T) {
 					t.Errorf("%s/%s: Split(%d) merged outcome set differs from unsharded",
 						name, b.name, n)
 				}
+			}
+		}
+	}
+}
+
+// TestSnapshotSplitMergeSymmetricRows extends shard soundness to the
+// symmetric rows (symRowCells).
+func TestSnapshotSplitMergeSymmetricRows(t *testing.T) {
+	for _, c := range symRowCells {
+		tst := symRow(t, c.n)
+		opts := explore.DefaultOptions()
+		ref, err := Run(tst, c.b.run, opts)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tst.Name(), c.b.name, err)
+		}
+		for _, n := range []int{2, 4} {
+			v, err := RunSharded(tst, c.b.run, c.b.resume, n, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: sharded(%d): %v", tst.Name(), c.b.name, n, err)
+			}
+			if !sameKeys(outcomeKeys(v.Result), outcomeKeys(ref.Result)) || v.Allowed != ref.Allowed {
+				t.Errorf("%s/%s: Split(%d) merged outcome set differs from unsharded (%d vs %d outcomes)",
+					tst.Name(), c.b.name, n, len(v.Result.Outcomes), len(ref.Result.Outcomes))
 			}
 		}
 	}
