@@ -194,22 +194,20 @@ func BenchmarkSymmetrySYM5Flat(b *testing.B) {
 }
 
 // BenchmarkCertCache* quantify the exploration-scoped certification cache
-// (internal/core.CertCache): On is the default configuration, Off reverts
-// every Certify call to a one-shot search with a call-local memo (the
-// pre-cache behaviour, explore.Options.CertCacheOff). TL-1 is the
-// sequential acceptance row (promise-first backend, where successor
-// memories re-tread parent certification subtrees); LB is a promise-heavy
-// catalog test under the naive backend, where the same thread/memory
-// configuration is re-certified across every global state that differs
-// only in the other threads.
+// (internal/core.CertCache) that the naive explorer shares: On is the
+// default configuration, Off reverts every certification to a one-shot
+// search with a call-local memo (explore.Options.CertCacheOff). LB is a
+// promise-heavy catalog test, where the same thread/memory configuration
+// is re-certified across every global state that differs only in the
+// other threads. Promise-first shares no cache, so it has no pair here.
 
-func benchCertCache(b *testing.B, off bool, run func(opts explore.Options) (*promising.Verdict, error)) {
-	b.Helper()
+func benchCertCacheNaive(b *testing.B, name string, off bool) {
+	tst := litmus.CatalogTest(name)
 	opts := explore.DefaultOptions()
 	opts.CertCacheOff = off
 	var stats explore.ExploreStats
 	for i := 0; i < b.N; i++ {
-		v, err := run(opts)
+		v, err := litmus.Run(tst, explore.Naive, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,27 +220,6 @@ func benchCertCache(b *testing.B, off bool, run func(opts explore.Options) (*pro
 	b.ReportMetric(stats.CertHitRate()*100, "cert-hit-%")
 }
 
-func benchCertCacheInstance(b *testing.B, id string, off bool) {
-	in, err := workloads.ParseID(lang.ARM, id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchCertCache(b, off, func(opts explore.Options) (*promising.Verdict, error) {
-		return promising.Run(in.Test, promising.BackendPromising, opts)
-	})
-}
-
-func benchCertCacheNaive(b *testing.B, name string, off bool) {
-	tst := litmus.CatalogTest(name)
-	benchCertCache(b, off, func(opts explore.Options) (*promising.Verdict, error) {
-		return litmus.Run(tst, explore.Naive, opts)
-	})
-}
-
-func BenchmarkCertCacheOnTL1(b *testing.B)      { benchCertCacheInstance(b, "TL-1", false) }
-func BenchmarkCertCacheOffTL1(b *testing.B)     { benchCertCacheInstance(b, "TL-1", true) }
-func BenchmarkCertCacheOnSLA3(b *testing.B)     { benchCertCacheInstance(b, "SLA-3", false) }
-func BenchmarkCertCacheOffSLA3(b *testing.B)    { benchCertCacheInstance(b, "SLA-3", true) }
 func BenchmarkCertCacheOnNaiveLB(b *testing.B)  { benchCertCacheNaive(b, "LB", false) }
 func BenchmarkCertCacheOffNaiveLB(b *testing.B) { benchCertCacheNaive(b, "LB", true) }
 

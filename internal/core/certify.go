@@ -17,27 +17,26 @@ import (
 // pre-view ⊔ coherence view does not exceed the maximal timestamp of the
 // pre-certification memory (§B, proved correct as Theorem 6.4).
 //
-// Certification is the dominant cost of promise-aware exploration: every
-// machine step re-runs a sequential search over cloned thread/memory
-// states. CertCache makes that work shared across a whole exploration —
-// an exploration-scoped, concurrency-safe memo of search results keyed by
-// interned (thread × memory) state handles, consulted and filled by every
-// Certify call of a run, across all engine workers. Two access paths:
+// Certification is the dominant cost of promise-aware exploration. It
+// runs as one sequential search over cloned thread/memory states, reached
+// through two access paths:
 //
-//   - Certify/Certified/FindAndCertify (the machine explorers): every
-//     interior search state is shared. The same thread configuration
-//     recurs across all global states differing only in the other
-//     threads, so per-step certification amortises to cache lookups.
-//   - CertifyScoped/CertifyAndComplete (the promise-first explorer):
-//     phase-1 memories are deduplicated, so certification calls are
-//     pairwise distinct and interior contexts essentially never recur
-//     across calls; interior states are memoised call-locally and only
-//     the root result is consulted and published. CertifyAndComplete
-//     additionally folds the §7 phase-2 completion search into the same
-//     walk: the completions of a thread under mem are exactly the
-//     certification search states that never perform a new write, so one
-//     tree walk yields both the candidate promises and the final register
-//     observations that the seed implementation computed in two.
+//   - naive-shared: the machine explorers' (*CertCache).Certified and
+//     FindAndCertify consult and fill an exploration-scoped,
+//     concurrency-safe memo keyed by interned (thread × memory) state
+//     handles. The same thread configuration recurs across all global
+//     states that differ only in the other threads, so per-step
+//     certification amortises to cache lookups. A nil cache runs the
+//     same search call-scoped.
+//   - call-scoped: CertifyAndComplete, the promise-first explorer's walk.
+//     Phase-1 memories are deduplicated, so its calls are pairwise
+//     distinct and no search state recurs across them; interior states
+//     are memoised in a map that dies with the call. The walk also folds
+//     the §7 phase-2 completion search in: the completions of a thread
+//     under mem are exactly the certification search states that never
+//     perform a new write, so one tree walk yields both the candidate
+//     promises and the final register observations (and, on request,
+//     each completion's step labels for witness traces).
 
 // weakCertLeak, when set, deliberately weakens the certification check: a
 // search state with exactly one outstanding promise counts as certified
@@ -68,18 +67,11 @@ type CertResult struct {
 	Certified bool
 	// Promises lists the distinct messages that are legal promise steps.
 	Promises []Msg
-}
-
-// CertCompleteResult extends CertResult with the thread's phase-2
-// completions (CertifyAndComplete).
-type CertCompleteResult struct {
-	CertResult
-	// Finals lists the observed register values (in the caller's obs
-	// order) of every complete execution — the thread terminated with no
-	// outstanding promise — reachable without performing any new write:
-	// the §7 phase-2 completions of the thread under the given memory.
-	// Entries are not deduplicated.
-	Finals [][]lang.Val
+	// Finals lists the thread's §7 phase-2 completions under the given
+	// memory (CertifyAndComplete only): every complete execution — the
+	// thread terminated with no outstanding promise — reachable without
+	// performing any new write. Entries are not deduplicated.
+	Finals []Completion
 	// FinalsBound reports that some completion path ran past the loop
 	// bound, so Finals may be incomplete.
 	FinalsBound bool
@@ -88,15 +80,24 @@ type CertCompleteResult struct {
 	Aborted bool
 }
 
+// Completion is one phase-2 completion of a thread.
+type Completion struct {
+	// Vals are the observed register values, in the caller's obs order.
+	Vals []lang.Val
+	// Trace holds the step labels of the completion path from the root
+	// state (witness walks only; nil otherwise).
+	Trace []Label
+}
+
 // certShards is the shard count of a CertCache (a power of two).
 const certShards = 64
 
-// CertCache is an exploration-scoped certification cache. See the package
-// comment above: entries are keyed by (thread id × interned thread-state
-// handle × interned memory handle) and are exhaustive search results,
-// never budget-truncated — exploration budgets (MaxStates, deadlines)
-// never reach the certification search, so they are excluded from keys by
-// construction.
+// CertCache is an exploration-scoped certification cache for the machine
+// explorers. See the package comment above: entries are keyed by (thread
+// id × interned thread-state handle × interned memory handle) and are
+// exhaustive search results, never budget-truncated — exploration budgets
+// (MaxStates, deadlines) never reach the certification search, so they
+// are excluded from keys by construction.
 //
 // The search tree below a (thread, memory) state is independent of the
 // pre-certification memory bound (baseTS): the step relation never
@@ -121,6 +122,11 @@ type certShard struct {
 	m  map[certKey]certMemo
 }
 
+// certKey identifies a search state. The collect flag is deliberately NOT
+// part of the key: a full (collecting) entry answers a reach-only query,
+// and a reach-only entry is upgraded in place when a full search
+// completes, so the Certified and FindAndCertify passes over the same
+// configuration share one entry instead of two.
 type certKey struct {
 	// tid scopes the entry to one thread of the compiled program: thread
 	// encodings embed continuation node indices, which index the owning
@@ -128,20 +134,6 @@ type certKey struct {
 	// tests) are still distinct search states.
 	tid         int
 	thread, mem Handle
-	// unified separates CertifyAndComplete entries (which carry the
-	// completion payload) from plain certification entries, so a plain
-	// root entry can never satisfy a unified lookup with empty finals —
-	// and obs (the interned encoding of the observed-register projection
-	// baked into a unified entry's finals; 0 otherwise) keeps entries
-	// from explorations of the same program under different observation
-	// specs apart when a cache is shared across runs.
-	// The collect flag is deliberately NOT part of the key: a full
-	// (collecting) entry answers a reach-only query, and a reach-only
-	// entry is upgraded in place when a full search completes, so the
-	// machine explorers' Certified and FindAndCertify passes over the
-	// same configuration share one entry instead of two.
-	unified bool
-	obs     Handle
 }
 
 // NewCertCache returns an empty cache with its own interner.
@@ -178,11 +170,7 @@ func (cc *CertCache) Stats() CertStats {
 }
 
 func (k certKey) hash() uint64 {
-	h := uint64(k.thread)*0x9E3779B97F4A7C15 ^ uint64(k.mem)*fnvPrime64 ^ uint64(k.tid)
-	if k.unified {
-		h = ^h ^ uint64(k.obs)*fnvPrime64
-	}
-	return h
+	return uint64(k.thread)*0x9E3779B97F4A7C15 ^ uint64(k.mem)*fnvPrime64 ^ uint64(k.tid)
 }
 
 // get returns the entry for k usable at the given collect level: a full
@@ -200,10 +188,9 @@ func (cc *CertCache) get(k certKey, collect bool) (certMemo, bool) {
 }
 
 // put publishes a completed search result. Entries are immutable after
-// publication (their writes maps and finals are never mutated again), so
-// readers may iterate them without holding the shard lock; a full entry
-// replaces a reach-only one for the same key (the upgrade path), never
-// the reverse.
+// publication (their writes maps are never mutated again), so readers may
+// iterate them without holding the shard lock; a full entry replaces a
+// reach-only one for the same key (the upgrade path), never the reverse.
 func (cc *CertCache) put(k certKey, m certMemo) {
 	sh := &cc.shards[k.hash()&(certShards-1)]
 	sh.mu.Lock()
@@ -213,110 +200,44 @@ func (cc *CertCache) put(k certKey, m certMemo) {
 	sh.mu.Unlock()
 }
 
-// Certify runs the certification search for thread th under mem,
-// consulting and filling the cache (which may be nil for a one-shot,
-// uncached search). The inputs are not mutated. When collectPromises is
-// false the search stops as soon as a certifying trace is found. Every
-// interior search state is shared through the cache — the machine
-// explorers' access path.
-func (cc *CertCache) Certify(env *Env, th *Thread, mem *Memory, collectPromises bool) CertResult {
-	c := &certifier{env: env, baseTS: mem.MaxTS(), collect: collectPromises, cc: cc, deep: cc != nil}
-	return c.run(th, mem).CertResult
-}
-
-// CertifyScoped is Certify with call-scoped interior memoisation: interior
-// search states hit a call-local memo, and only the root state is
-// consulted and published, so a run whose certification calls are
-// pairwise distinct (promise-first: phase-1 memories are deduplicated)
-// does not grow the shared cache with states that can never be re-read.
-func (cc *CertCache) CertifyScoped(env *Env, th *Thread, mem *Memory, collectPromises bool) CertResult {
-	c := &certifier{env: env, baseTS: mem.MaxTS(), collect: collectPromises, cc: cc}
-	return c.run(th, mem).CertResult
-}
-
-// InternMemory interns mem's canonical encoding in the cache's interner,
-// returning its handle for CertifyAndComplete: a caller certifying several
-// threads under one memory interns it once instead of per call. Nil-safe
-// (returns 0, the never-issued handle, which CertifyAndComplete treats as
-// "intern for me").
-func (cc *CertCache) InternMemory(mem *Memory) Handle {
-	if cc == nil {
-		return 0
-	}
-	buf := GetEncBuf()
-	buf = EncodeMemory(buf, mem, 0)
-	h, _ := cc.in.Intern(buf)
-	PutEncBuf(buf)
-	return h
-}
-
-// CertifyAndComplete is the promise-first explorer's unified search: one
-// call-scoped walk (see CertifyScoped) that returns both the legal promise
-// steps of th under mem and the thread's phase-2 completions — the
-// register observations (projected to obs) of every complete execution
-// reachable without new writes. hmem is mem's handle from InternMemory (0
-// to let the call intern it). visit, when non-nil, is called once per
-// newly memoised completion-relevant state (exactly the states the
-// two-pass implementation's completer counted); returning false aborts
-// the search.
-func (cc *CertCache) CertifyAndComplete(env *Env, th *Thread, mem *Memory, hmem Handle, obs []lang.Reg, visit func() bool) CertCompleteResult {
-	c := &certifier{
-		env:     env,
-		baseTS:  mem.MaxTS(),
-		collect: true,
-		cc:      cc,
-		unified: true,
-		obs:     obs,
-		visit:   visit,
-		hmem:    hmem,
-	}
-	if cc != nil {
-		// The observed-register projection is baked into the cached
-		// finals, so it is part of the unified key.
-		buf := GetEncBuf()
-		for _, r := range obs {
-			buf = appendInt(buf, int64(r))
-		}
-		c.obsH, _ = cc.in.Intern(buf)
-		PutEncBuf(buf)
-	}
-	return c.run(th, mem)
-}
-
-// Certified reports the declarative predicate only.
+// Certified reports whether thread th is certified under mem (r24): a
+// search that stops at the first certifying trace. Every interior search
+// state is shared through the cache; a nil cache runs the search
+// call-scoped. The inputs are not mutated.
 func (cc *CertCache) Certified(env *Env, th *Thread, mem *Memory) bool {
 	if len(th.TS.Prom) == 0 {
 		return true
 	}
-	return cc.Certify(env, th, mem, false).Certified
-}
-
-// FindAndCertify returns the legal promise steps of th under mem (§B).
-// The configuration is assumed certified.
-func (cc *CertCache) FindAndCertify(env *Env, th *Thread, mem *Memory) []Msg {
-	return cc.Certify(env, th, mem, true).Promises
-}
-
-// FindAndCertifyScoped is FindAndCertify through CertifyScoped.
-func (cc *CertCache) FindAndCertifyScoped(env *Env, th *Thread, mem *Memory) []Msg {
-	return cc.CertifyScoped(env, th, mem, true).Promises
-}
-
-// Certify is the uncached entry point: a fresh search with a call-local
-// memo, as used by one-shot clients and tests.
-func Certify(env *Env, th *Thread, mem *Memory, collectPromises bool) CertResult {
-	return (*CertCache)(nil).Certify(env, th, mem, collectPromises)
-}
-
-// Certified reports the declarative predicate only (uncached).
-func Certified(env *Env, th *Thread, mem *Memory) bool {
-	return (*CertCache)(nil).Certified(env, th, mem)
+	c := &certifier{env: env, baseTS: mem.MaxTS(), cc: cc}
+	return c.run(th, mem).Certified
 }
 
 // FindAndCertify returns the legal promise steps of th under mem (§B),
-// uncached.
-func FindAndCertify(env *Env, th *Thread, mem *Memory) []Msg {
-	return (*CertCache)(nil).FindAndCertify(env, th, mem)
+// through the cache like Certified (nil: call-scoped). The configuration
+// is assumed certified.
+func (cc *CertCache) FindAndCertify(env *Env, th *Thread, mem *Memory) []Msg {
+	c := &certifier{env: env, baseTS: mem.MaxTS(), collect: true, cc: cc}
+	return c.run(th, mem).Promises
+}
+
+// CertifyAndComplete is the promise-first explorer's unified, call-scoped
+// walk: it returns both the legal promise steps of th under mem and the
+// thread's phase-2 completions, with the observed registers projected to
+// obs. With witness set each completion also carries its step labels.
+// visit, when non-nil, is called once per newly memoised
+// completion-plane state (the states a phase-2 completion search would
+// explore); returning false aborts the search.
+func CertifyAndComplete(env *Env, th *Thread, mem *Memory, obs []lang.Reg, visit func() bool, witness bool) CertResult {
+	c := &certifier{
+		env:     env,
+		baseTS:  mem.MaxTS(),
+		collect: true,
+		unified: true,
+		witness: witness,
+		obs:     obs,
+		visit:   visit,
+	}
+	return c.run(th, mem)
 }
 
 // certMemo is the result of one certification search state. Once a memo is
@@ -337,7 +258,7 @@ type certMemo struct {
 	writes map[Msg]View
 	// finals/fbound are the unified search's completion results from this
 	// state (aggregated along non-write edges only).
-	finals [][]lang.Val
+	finals []Completion
 	fbound bool
 }
 
@@ -345,48 +266,38 @@ type certifier struct {
 	env     *Env
 	baseTS  Time
 	collect bool
-	cc      *CertCache
-	// deep shares every interior search state through the cache; without
-	// it only the root state is consulted and published, and interior
-	// states stay in the call-local memo.
-	deep bool
-	// rootDone flips once the root search state has been handled (the
-	// first state to reach the memo point is the root).
-	rootDone bool
-	// unified enables completion tracking (CertifyAndComplete); obsH is
-	// the interned obs projection (part of unified cache keys) and hmem
-	// the caller-precomputed root memory handle (0 = intern in run).
+	// cc, when non-nil, shares every interior search state through the
+	// cache (the naive-shared path); otherwise states stay in the
+	// call-local memo.
+	cc *CertCache
+	// unified enables completion tracking (CertifyAndComplete), witness
+	// the completions' step labels.
 	unified bool
+	witness bool
 	obs     []lang.Reg
-	obsH    Handle
-	hmem    Handle
 	visit   func() bool
 	aborted bool
-	// hmemo is the deep path's call-local memo, keyed by interned handles;
-	// it doubles as the in-progress guard (states are marked before their
-	// children are searched), which must stay call-local — a shared
-	// placeholder would be read by other workers as a completed
+	// hmemo is the cached path's call-local memo, keyed by interned
+	// handles; it doubles as the in-progress guard (states are marked
+	// before their children are searched), which must stay call-local — a
+	// shared placeholder would be read by other workers as a completed
 	// "unreachable" result.
 	hmemo map[[2]Handle]certMemo
-	// memo is the call-scoped paths' memo, keyed by the raw encoding
+	// memo is the call-scoped path's memo, keyed by the raw encoding
 	// (thread ++ memory suffix above baseTS, which is constant within a
 	// call).
 	memo map[string]certMemo
 }
 
 // run clones the inputs, runs the search and assembles the result.
-func (c *certifier) run(th *Thread, mem *Memory) CertCompleteResult {
-	hmem := c.hmem
-	if c.cc != nil && hmem == 0 {
-		hmem = c.cc.InternMemory(mem)
-	}
-	if c.deep {
+func (c *certifier) run(th *Thread, mem *Memory) CertResult {
+	if c.cc != nil {
 		c.hmemo = make(map[[2]Handle]certMemo)
 	} else {
 		c.memo = make(map[string]certMemo)
 	}
-	res := c.search(th.Clone(), mem.Clone(), hmem, true)
-	out := CertCompleteResult{CertResult: CertResult{Certified: res.reach}}
+	res := c.search(th.Clone(), mem.Clone(), c.internMem(mem), true)
+	out := CertResult{Certified: res.reach}
 	if c.aborted {
 		out.Aborted = true
 		return out
@@ -399,11 +310,22 @@ func (c *certifier) run(th *Thread, mem *Memory) CertCompleteResult {
 			}
 		}
 	}
-	if c.unified {
-		out.Finals = res.finals
-		out.FinalsBound = res.fbound
-	}
+	out.Finals = res.finals
+	out.FinalsBound = res.fbound
 	return out
+}
+
+// internMem returns mem's handle in the cache's interner (0 when the
+// search is call-scoped).
+func (c *certifier) internMem(mem *Memory) Handle {
+	if c.cc == nil {
+		return 0
+	}
+	buf := GetEncBuf()
+	buf = EncodeMemory(buf, mem, 0)
+	h, _ := c.cc.in.Intern(buf)
+	PutEncBuf(buf)
+	return h
 }
 
 // search explores the sequential executions of th (alone) under mem. It
@@ -437,20 +359,17 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 			for i, r := range c.obs {
 				vals[i] = th.TS.Regs[r].Val
 			}
-			m.finals = [][]lang.Val{vals}
+			m.finals = []Completion{{Vals: vals}}
 		}
 		return m
 	}
 
 	var (
-		lkey  [2]Handle
-		skey  string
-		ckey  certKey
-		share bool
+		lkey [2]Handle
+		skey string
+		ckey certKey
 	)
-	root := !c.rootDone
-	c.rootDone = true
-	if c.deep {
+	if c.cc != nil {
 		buf := GetEncBuf()
 		buf = EncodeThread(buf, th)
 		hth, _ := c.cc.in.Intern(buf)
@@ -459,8 +378,7 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 		if m, ok := c.hmemo[lkey]; ok {
 			return m
 		}
-		share = true
-		ckey = certKey{tid: c.env.TID, thread: hth, mem: hmem, unified: c.unified, obs: c.obsH}
+		ckey = certKey{tid: c.env.TID, thread: hth, mem: hmem}
 		if m, ok := c.cc.get(ckey, c.collect); ok {
 			c.cc.hits.Add(1)
 			c.hmemo[lkey] = m
@@ -472,12 +390,10 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 		// guard is cheap and protects against future extensions).
 		c.hmemo[lkey] = certMemo{}
 	} else {
-		// Call-scoped runs keep interior states in a memo that dies with
-		// the call (string keys: for states that are unique across the
-		// run — the promise-first case — a call-local string map beats
-		// global interning, which would retain every encoding for the
-		// whole exploration), and consult the shared cache at the root
-		// state only.
+		// String keys: for states that are unique across the run — the
+		// promise-first case — a call-local string map beats global
+		// interning, which would retain every encoding for the whole
+		// exploration.
 		buf := GetEncBuf()
 		buf = EncodeMemory(EncodeThread(buf, th), mem, c.baseTS)
 		skey = string(buf)
@@ -485,24 +401,10 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 		if m, ok := c.memo[skey]; ok {
 			return m
 		}
-		if share = root && c.cc != nil; share {
-			buf := GetEncBuf()
-			buf = EncodeThread(buf, th)
-			hth, _ := c.cc.in.Intern(buf)
-			PutEncBuf(buf)
-			ckey = certKey{tid: c.env.TID, thread: hth, mem: hmem, unified: c.unified, obs: c.obsH}
-			if m, ok := c.cc.get(ckey, c.collect); ok {
-				c.cc.hits.Add(1)
-				c.memo[skey] = m
-				return m
-			}
-			c.cc.misses.Add(1)
-		}
 		c.memo[skey] = certMemo{}
 	}
 	if c.unified && plane && c.visit != nil {
-		// One count per newly memoised completion-plane state: exactly the
-		// states the two-pass implementation's completer explored.
+		// One count per newly memoised completion-plane state.
 		if !c.visit() {
 			c.aborted = true
 			return certMemo{}
@@ -515,66 +417,46 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 	case lang.NLoad:
 		for _, rc := range ReadChoices(c.env, th, id, mem) {
 			child := th.Clone()
-			ApplyRead(c.env, child, id, mem, rc.TS)
-			c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+			lab := ApplyRead(c.env, child, id, mem, rc.TS)
+			c.follow(&res, child, mem, hmem, plane, lab)
 		}
 	case lang.NStore:
 		// Fulfil an outstanding promise.
 		for _, t := range FulfilChoices(c.env, th, id, mem) {
 			child := th.Clone()
-			ApplyFulfil(c.env, child, id, mem, t)
-			c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+			lab := ApplyFulfil(c.env, child, id, mem, t)
+			c.follow(&res, child, mem, hmem, plane, lab)
 		}
 		// Perform a fresh (normal) write.
-		{
-			child := th.Clone()
-			childMem := mem.Clone()
-			if t, preCoh, ok := NormalWrite(c.env, child, id, childMem); ok {
-				w := childMem.At(t)
-				var hchild Handle
-				if c.deep {
-					buf := GetEncBuf()
-					buf = EncodeMemory(buf, childMem, 0)
-					hchild, _ = c.cc.in.Intern(buf)
-					PutEncBuf(buf)
-				}
-				c.merge(&res, c.search(child, childMem, hchild, false), &w, preCoh, plane)
-			}
+		child, childMem := th.Clone(), mem.Clone()
+		if t, preCoh, ok := NormalWrite(c.env, child, id, childMem); ok {
+			c.write(&res, child, childMem, childMem.At(t), preCoh)
 		}
 		// An exclusive store may fail.
 		if n.Xcl {
 			child := th.Clone()
-			ApplyXclFail(c.env, child, id)
-			c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+			lab := ApplyXclFail(c.env, child, id)
+			c.follow(&res, child, mem, hmem, plane, lab)
 		}
 	case lang.NRMW:
 		for _, rc := range ReadChoices(c.env, th, id, mem) {
 			// A CAS whose comparison fails is a read-only step.
 			if _, writes := RMWWriteVal(th.TS, n, rc.Val); !writes {
 				child := th.Clone()
-				ApplyRMWNoWrite(c.env, child, id, mem, rc.TS)
-				c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+				lab := ApplyRMWNoWrite(c.env, child, id, mem, rc.TS)
+				c.follow(&res, child, mem, hmem, plane, lab)
 				continue
 			}
 			// Fulfil an outstanding promise.
 			for _, tw := range RMWFulfilChoices(c.env, th, id, mem, rc.TS) {
 				child := th.Clone()
-				ApplyRMW(c.env, child, id, mem, rc.TS, tw)
-				c.merge(&res, c.search(child, mem, hmem, plane), nil, 0, plane)
+				lab := ApplyRMW(c.env, child, id, mem, rc.TS, tw)
+				c.follow(&res, child, mem, hmem, plane, lab)
 			}
 			// Perform the write as a fresh (normal) write.
-			child := th.Clone()
-			childMem := mem.Clone()
+			child, childMem := th.Clone(), mem.Clone()
 			if t, preCoh, ok := RMWNormalWrite(c.env, child, id, childMem, rc.TS); ok {
-				w := childMem.At(t)
-				var hchild Handle
-				if c.deep {
-					buf := GetEncBuf()
-					buf = EncodeMemory(buf, childMem, 0)
-					hchild, _ = c.cc.in.Intern(buf)
-					PutEncBuf(buf)
-				}
-				c.merge(&res, c.search(child, childMem, hchild, false), &w, preCoh, plane)
+				c.write(&res, child, childMem, childMem.At(t), preCoh)
 			}
 		}
 	default:
@@ -583,42 +465,59 @@ func (c *certifier) search(th *Thread, mem *Memory, hmem Handle, plane bool) cer
 	if c.aborted {
 		return certMemo{}
 	}
-	if c.deep {
+	if c.cc != nil {
 		c.hmemo[lkey] = res
 		c.cc.put(ckey, res)
 	} else {
 		c.memo[skey] = res
-		if share {
-			c.cc.put(ckey, res)
-		}
 	}
 	return res
 }
 
-// merge folds a child result into res; when the edge into the child
-// performed write w at pre-view ⊔ coherence bound preCoh, w becomes a
-// candidate promise provided the child certifies (the §B view condition
-// preCoh <= baseTS is applied by the top-level caller). Completions only
-// propagate on the completion plane and along non-write edges (w == nil):
-// a path that performed a new write is not an execution under the root
-// memory, and off-plane finals have no consumer.
-func (c *certifier) merge(res *certMemo, child certMemo, w *Msg, preCoh View, plane bool) {
-	if c.unified && plane && w == nil {
-		res.finals = append(res.finals, child.finals...)
-		res.fbound = res.fbound || child.fbound
+// follow searches a child reached by a step that performs no new write,
+// so it runs under the same memory and stays on (or off) the completion
+// plane with its parent, and folds it into res. Completions propagate
+// only on the plane, each prefixed with the edge's label lab when
+// collecting witnesses.
+func (c *certifier) follow(res *certMemo, child *Thread, mem *Memory, hmem Handle, plane bool, lab Label) {
+	m := c.search(child, mem, hmem, plane)
+	if c.unified && plane {
+		if c.witness {
+			for _, f := range m.finals {
+				res.finals = append(res.finals, Completion{Vals: f.Vals, Trace: append([]Label{lab}, f.Trace...)})
+			}
+		} else {
+			res.finals = append(res.finals, m.finals...)
+		}
+		res.fbound = res.fbound || m.fbound
 	}
-	if !child.reach {
+	c.absorb(res, m)
+}
+
+// write searches the child of fresh write w, performed at pre-view ⊔
+// coherence bound preCoh. The child leaves the completion plane (its path
+// is no execution under the root memory), and w becomes a candidate
+// promise provided the child certifies (the §B view condition
+// preCoh <= baseTS is applied by run).
+func (c *certifier) write(res *certMemo, child *Thread, childMem *Memory, w Msg, preCoh View) {
+	m := c.search(child, childMem, c.internMem(childMem), false)
+	if m.reach && c.collect {
+		res.addWrite(w, preCoh)
+	}
+	c.absorb(res, m)
+}
+
+// absorb folds a child's reachability and candidate writes into res.
+func (c *certifier) absorb(res *certMemo, m certMemo) {
+	if !m.reach {
 		return
 	}
 	res.reach = true
 	if !c.collect {
 		return
 	}
-	if w != nil {
-		res.addWrite(*w, preCoh)
-	}
-	for cw, pc := range child.writes {
-		res.addWrite(cw, pc)
+	for w, pc := range m.writes {
+		res.addWrite(w, pc)
 	}
 }
 

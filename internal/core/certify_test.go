@@ -7,6 +7,15 @@ import (
 	"promising/internal/lang"
 )
 
+// certified and findAndCertify run the uncached, call-scoped searches.
+func certified(env *Env, th *Thread, mem *Memory) bool {
+	return (*CertCache)(nil).Certified(env, th, mem)
+}
+
+func findAndCertify(env *Env, th *Thread, mem *Memory) []Msg {
+	return (*CertCache)(nil).FindAndCertify(env, th, mem)
+}
+
 func promiseSet(msgs []Msg) []Msg {
 	out := append([]Msg(nil), msgs...)
 	sort.Slice(out, func(i, j int) bool {
@@ -53,10 +62,10 @@ func TestFindAndCertifySectionB(t *testing.T) {
 	mem.Append(Msg{Loc: z, Val: 1, TID: 1}) // 2 (the outstanding promise)
 	Advance(env, th)
 
-	if !Certified(env, th, mem) {
+	if !certified(env, th, mem) {
 		t.Fatal("the §B configuration must be certified")
 	}
-	got := promiseSet(FindAndCertify(env, th, mem))
+	got := promiseSet(findAndCertify(env, th, mem))
 	want := []Msg{{Loc: x, Val: 1, TID: 1}}
 	if len(got) != 1 || got[0] != want[0] {
 		t.Errorf("find_and_certify = %v, want %v (x=1 only: y=1 has pre-view 3 > 2)", got, want)
@@ -80,7 +89,7 @@ func TestCertifyFailsOnWrongValuePromise(t *testing.T) {
 	mem := NewMemory(nil)
 	mem.Append(Msg{Loc: 16, Val: 42, TID: 0}) // cannot be produced: loads of 8 can only see 0
 	Advance(env, th)
-	if Certified(env, th, mem) {
+	if certified(env, th, mem) {
 		t.Error("promise of unproducible value must not certify")
 	}
 }
@@ -101,7 +110,7 @@ func TestCertifyDataDependencyPreventsPromise(t *testing.T) {
 	th := NewThread(env.Code)
 	mem := NewMemory(nil)
 	Advance(env, th)
-	got := FindAndCertify(env, th, mem)
+	got := findAndCertify(env, th, mem)
 	if len(got) != 1 || got[0] != (Msg{Loc: 16, Val: 0, TID: 0}) {
 		t.Errorf("promises = %v, want only x=0", got)
 	}
@@ -122,7 +131,7 @@ func TestCertifyIndependentStorePromisable(t *testing.T) {
 	th := NewThread(env.Code)
 	mem := NewMemory(nil)
 	Advance(env, th)
-	got := promiseSet(FindAndCertify(env, th, mem))
+	got := promiseSet(findAndCertify(env, th, mem))
 	if len(got) != 1 || got[0] != (Msg{Loc: 16, Val: 42, TID: 0}) {
 		t.Errorf("promises = %v, want x=42", got)
 	}
@@ -150,7 +159,7 @@ func TestCertifyControlDependencyPreventsPromise(t *testing.T) {
 	mem := NewMemory(nil)
 	mem.Append(Msg{Loc: y, Val: 1, TID: 0}) // a foreign write the load may read
 	Advance(env, th)
-	got := promiseSet(FindAndCertify(env, th, mem))
+	got := promiseSet(findAndCertify(env, th, mem))
 	// Reading y=0 at timestamp 0 keeps vCAP at 0, so x=42 with pre-view 0
 	// is promisable against maxTS=1; reading y=1 taints vCAP with 1 which
 	// is still ≤ 1. So the promise is allowed here...
@@ -179,7 +188,7 @@ func TestCertifyControlDependencyPreventsPromise(t *testing.T) {
 	mem2 := NewMemory(nil)
 	mem2.Append(Msg{Loc: y, Val: 1, TID: 0}) // ts 1
 	Advance(env2, th2)
-	got2 := FindAndCertify(env2, th2, mem2)
+	got2 := findAndCertify(env2, th2, mem2)
 	// The store is only reached by reading y=1 at ts 1, so vCAP = 1 and the
 	// pre-view 1 ≤ maxTS 1: promisable. Extend memory so the only
 	// y=1 write is newer than the bound at promise time... simplest check:
@@ -213,7 +222,7 @@ func TestCertifyCollectsDownstreamWrites(t *testing.T) {
 	th := NewThread(env.Code)
 	mem := NewMemory(nil)
 	Advance(env, th)
-	got := promiseSet(FindAndCertify(env, th, mem))
+	got := promiseSet(findAndCertify(env, th, mem))
 	want := []Msg{{Loc: 8, Val: 1, TID: 0}, {Loc: 16, Val: 2, TID: 0}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("promises = %v, want both stores", got)
@@ -240,10 +249,10 @@ func TestCertifyAfterPromising(t *testing.T) {
 
 	// Promise the first store's write.
 	Promise(env, th, mem, 8, 1)
-	if !Certified(env, th, mem) {
+	if !certified(env, th, mem) {
 		t.Fatal("after promising x=1 the thread must still certify")
 	}
-	got := promiseSet(FindAndCertify(env, th, mem))
+	got := promiseSet(findAndCertify(env, th, mem))
 	// x=2 must now be promisable (fulfilling x=1 first, then writing x=2).
 	found := false
 	for _, w := range got {
@@ -262,7 +271,7 @@ func TestCertifyAfterPromising(t *testing.T) {
 	Advance(env, th2)
 	Promise(env, th2, mem2, 8, 2)
 	Promise(env, th2, mem2, 8, 1)
-	if Certified(env, th2, mem2) {
+	if certified(env, th2, mem2) {
 		t.Error("promising x=2 before x=1 must not certify (coherence)")
 	}
 }
@@ -288,7 +297,7 @@ func TestFindAndCertifyAgreesWithDeclarative(t *testing.T) {
 	Advance(env, th)
 
 	returned := map[Msg]bool{}
-	for _, w := range FindAndCertify(env, th, mem) {
+	for _, w := range findAndCertify(env, th, mem) {
 		returned[w] = true
 	}
 	// Brute-force universe of candidate promises.
@@ -298,9 +307,9 @@ func TestFindAndCertifyAgreesWithDeclarative(t *testing.T) {
 			th2 := th.Clone()
 			mem2 := mem.Clone()
 			Promise(env, th2, mem2, w.Loc, w.Val)
-			if Certified(env, th2, mem2) != returned[w] {
+			if certified(env, th2, mem2) != returned[w] {
 				t.Errorf("promise %v: declarative=%v find_and_certify=%v",
-					w, Certified(env, th2, mem2), returned[w])
+					w, certified(env, th2, mem2), returned[w])
 			}
 		}
 	}

@@ -159,10 +159,11 @@ func certStressProgram(t *testing.T) *lang.CompiledProgram {
 }
 
 // TestCertCacheConcurrent stresses one shared CertCache from many
-// goroutines running every access path (Certified, FindAndCertify,
-// CertifyAndComplete) over the machine states of a promise-heavy program,
-// checking all goroutines agree with an uncached reference. Run under
-// -race this doubles as the interner/cache data-race test.
+// goroutines running every certification entry point (the cache's
+// Certified and FindAndCertify, and the call-scoped CertifyAndComplete)
+// over the machine states of a promise-heavy program, checking all
+// goroutines agree with an uncached reference. Run under -race this
+// doubles as the interner/cache data-race test.
 func TestCertCacheConcurrent(t *testing.T) {
 	cp := certStressProgram(t)
 	m0 := NewMachine(cp)
@@ -197,9 +198,9 @@ func TestCertCacheConcurrent(t *testing.T) {
 	for i, cfg := range configs {
 		for tid := range cfg.m.Threads {
 			refs[i].certified = append(refs[i].certified,
-				Certified(cfg.m.Env(tid), cfg.m.Threads[tid], cfg.m.Mem))
+				certified(cfg.m.Env(tid), cfg.m.Threads[tid], cfg.m.Mem))
 			refs[i].promises = append(refs[i].promises,
-				promKey(FindAndCertify(cfg.m.Env(tid), cfg.m.Threads[tid], cfg.m.Mem)))
+				promKey(findAndCertify(cfg.m.Env(tid), cfg.m.Threads[tid], cfg.m.Mem)))
 		}
 	}
 
@@ -225,11 +226,7 @@ func TestCertCacheConcurrent(t *testing.T) {
 						errs <- fmt.Errorf("config %d tid %d: FindAndCertify = %v, want %v", i, tid, got, want.promises[tid])
 						return
 					}
-					if got := promKey(cc.FindAndCertifyScoped(env, th, cfg.m.Mem)); got != want.promises[tid] {
-						errs <- fmt.Errorf("config %d tid %d: FindAndCertifyScoped = %v, want %v", i, tid, got, want.promises[tid])
-						return
-					}
-					r := cc.CertifyAndComplete(env, th, cfg.m.Mem, 0, nil, nil)
+					r := CertifyAndComplete(env, th, cfg.m.Mem, nil, nil, false)
 					if got := promKey(r.Promises); got != want.promises[tid] {
 						errs <- fmt.Errorf("config %d tid %d: CertifyAndComplete promises = %v, want %v", i, tid, got, want.promises[tid])
 						return

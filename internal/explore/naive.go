@@ -102,8 +102,10 @@ func naiveRun(cp *lang.CompiledProgram, spec *ObsSpec, opts Options, snap *Snaps
 	cc := opts.certCache()
 	ccStart := cc.Stats()
 	// addState interns the state's canonical encoding (symmetry-reduced
-	// when a symmetry structure exists) and returns its handle, freshness
-	// and the canonicalizing thread order (nil = identity). For child
+	// when a symmetry structure exists) and returns its handle, whether
+	// this arrival counts the state (fresh; decided by the claim when
+	// claims are kept, see ClaimTable.Arrive) and the canonicalizing
+	// thread order (nil = identity). For child
 	// states (successors, as opposed to roots, which are never
 	// remote-deduplicated) it additionally claims the arrival's awake
 	// families in the local claim table, reports the newly claimed set to
@@ -116,28 +118,25 @@ func naiveRun(cp *lang.CompiledProgram, spec *ObsSpec, opts Options, snap *Snaps
 		if hit {
 			symHits.Add(1)
 		}
-		h, fresh = seen.Add(b)
-		if child {
-			if claims != nil {
-				// Claim locally before consulting the remote hook: families
-				// the remote denies stay claimed in the local table — their
-				// expansion is delegated to the live attempt that was granted
-				// them (see the server package's claim protocol), so later
-				// local re-arrivals must not re-claim them either.
-				ctodo = claims.Claim(h, CanonMask(allMask&^sleep, order))
-				if ctodo != 0 && opts.Remote != nil {
-					ctodo &^= opts.Remote.Discovered(b, h, ctodo)
-				}
-				todo = ConcreteMask(ctodo, order)
-				drop = todo == 0
-			} else {
-				ctodo = AllFamilies
-				if !fresh {
-					drop = true
-				} else if opts.Remote != nil && opts.Remote.Discovered(b, h, AllFamilies) == AllFamilies {
-					drop = true
-				}
+		switch {
+		case child && claims != nil:
+			// Claim locally before consulting the remote hook: families the
+			// remote denies stay claimed in the local table — their
+			// expansion is delegated to the live attempt that was granted
+			// them (see the server package's claim protocol), so later
+			// local re-arrivals must not re-claim them either.
+			h, ctodo, fresh = claims.Arrive(seen, b, CanonMask(allMask&^sleep, order))
+			if ctodo != 0 && opts.Remote != nil {
+				ctodo &^= opts.Remote.Discovered(b, h, ctodo)
 			}
+			todo = ConcreteMask(ctodo, order)
+			drop = todo == 0
+		case child:
+			h, fresh = seen.Add(b)
+			ctodo = AllFamilies
+			drop = !fresh || opts.Remote != nil && opts.Remote.Discovered(b, h, AllFamilies) == AllFamilies
+		default:
+			h, fresh = seen.Add(b)
 		}
 		core.PutEncBuf(b)
 		return

@@ -109,17 +109,18 @@ type Options struct {
 	// only witness traces (any valid trace per outcome) may differ.
 	Parallelism int
 	// CertCache, when non-nil, is the exploration-scoped certification
-	// cache the certifying backends (promise-first, naive) consult and
-	// fill; nil makes each run create its own. The cache is keyed on
-	// interned thread/memory state handles of one compiled program, so a
-	// caller-supplied cache must only ever see explorations of the same
-	// compiled program. Outcome sets are identical with any cache state
-	// (entries are exhaustive search results, never budget-truncated).
+	// cache the naive explorer consults and fills; nil makes each run
+	// create its own. The cache is keyed on interned thread/memory state
+	// handles of one compiled program, so a caller-supplied cache must
+	// only ever see explorations of the same compiled program. Outcome
+	// sets are identical with any cache state (entries are exhaustive
+	// search results, never budget-truncated). Promise-first ignores it:
+	// its certification walks are call-scoped.
 	CertCache *core.CertCache
-	// CertCacheOff disables the exploration-scoped certification cache:
+	// CertCacheOff disables the naive explorer's certification cache:
 	// every certification runs as a one-shot search with a call-local
-	// memo, the pre-cache behaviour. Used by the differential suite and
-	// the ablation benchmarks.
+	// memo, the uncached reference of the differential suite and the
+	// ablation benchmarks. It has no effect on promise-first.
 	CertCacheOff bool
 	// Checkpoint, when non-nil, lets the caller stop the exploration
 	// cooperatively at a safe point (Checkpoint.Request, or automatically
@@ -296,13 +297,14 @@ type ExploreStats struct {
 	// the run's dedup set: machine states for the naive and flat
 	// explorers, phase-1 memories for promise-first.
 	Interned int
-	// CertHits and CertMisses count lookups in the exploration-scoped
-	// certification cache (zero for backends that do not certify, or with
-	// CertCacheOff).
+	// CertHits and CertMisses count lookups in the naive explorer's
+	// certification cache (zero with CertCacheOff, for promise-first,
+	// whose certification is call-scoped, and for backends that do not
+	// certify).
 	CertHits   int64
 	CertMisses int64
 	// CertEntries is the number of cached certification search results at
-	// the end of the run.
+	// the end of the run (zero wherever CertHits and CertMisses are).
 	CertEntries int
 	// SymmetryClasses counts the nontrivial thread-symmetry classes of the
 	// explored program (zero when symmetry reduction was off or the

@@ -28,14 +28,15 @@ import (
 // embarrassingly parallel phase 2 of the memories it pops, so the heavy
 // per-memory completion work scales with Options.Parallelism.
 //
-// All workers share one exploration-scoped certification cache, consulted
-// before every find_and_certify search. Because phase-1 memories are
-// deduplicated, the searches themselves are pairwise distinct — the
-// cache's real contribution here is the unified certify+complete walk
-// (core.CertifyAndComplete): a thread's phase-2 completions are exactly
-// the certification search states that never perform a new write, so one
-// walk per (memory, thread) computes both the candidate promises and the
-// completions that the seed computed in two.
+// Per (memory, thread), one call-scoped core.CertifyAndComplete walk does
+// both phases' work: a thread's phase-2 completions are exactly the
+// certification search states that never perform a new write, so the walk
+// that finds the candidate promises (find_and_certify, §B) also yields the
+// completions — with their step labels when witnesses are collected.
+// Because phase-1 memories are deduplicated, no search state recurs across
+// calls, so promise-first shares no certification cache:
+// Options.CertCache and CertCacheOff do not affect it, and its CertHits,
+// CertMisses and CertEntries read 0.
 func PromiseFirst(cp *lang.CompiledProgram, spec *ObsSpec, opts Options) *Result {
 	res, _ := pfRun(cp, spec, opts, nil)
 	return res
@@ -63,8 +64,6 @@ func pfRun(cp *lang.CompiledProgram, spec *ObsSpec, opts Options, snap *Snapshot
 		spec: spec,
 		opts: opts,
 		seen: NewSeenSet(),
-		cc:   opts.certCache(),
-		tin:  core.NewInterner(),
 	}
 	if opts.Reductions.Symmetry() && !opts.CollectWitnesses {
 		// Thread-symmetry reduction: phase-1 memories are deduplicated on
@@ -93,7 +92,7 @@ func pfRun(cp *lang.CompiledProgram, spec *ObsSpec, opts Options, snap *Snapshot
 	if snap == nil {
 		m0 := core.NewMemory(cp.Init)
 		e.addMem(m0, false)
-		roots = []memState{{mem: m0, hmem: e.cc.InternMemory(m0)}}
+		roots = []memState{{mem: m0}}
 	} else {
 		e.seen.Import(snap.Seen)
 		for _, fb := range snap.Frontier {
@@ -101,21 +100,19 @@ func pfRun(cp *lang.CompiledProgram, spec *ObsSpec, opts Options, snap *Snapshot
 			if err != nil {
 				return nil, err
 			}
-			roots = append(roots, memState{mem: mem, hmem: e.cc.InternMemory(mem)})
+			roots = append(roots, memState{mem: mem})
 		}
 		visited = snap.States
 	}
-	ccStart := e.cc.Stats()
 	eng := Engine[memState]{Process: e.process}
-	opts.StatsProbe = statsProbe(opts.StatsProbe, e.seen, e.cc, ccStart, &e.symHits, nil)
+	opts.StatsProbe = statsProbe(opts.StatsProbe, e.seen, nil, core.CertStats{}, &e.symHits, nil)
 	endSpan := opts.Trace.Span("explore")
 	res, pending := eng.ResumeRun(roots, &opts, visited)
 	endSpan(fmt.Sprintf("promising leg: %d states, %d outcomes", res.States, len(res.Outcomes)))
 	res.CheckpointRefused = refusedCkpt
-	res.Stats = statsOf(e.seen, e.cc, ccStart)
+	res.Stats = statsOf(e.seen, nil, core.CertStats{})
 	res.Stats.SymmetryClasses = e.sym.Classes()
 	res.Stats.SymmetryHits = e.symHits.Load()
-	emitCertSummary(opts.Trace, res.Stats)
 	if snap != nil {
 		snap.mergeInto(res)
 	}
@@ -142,12 +139,6 @@ type pfExplorer struct {
 	spec *ObsSpec
 	opts Options
 	seen *SeenSet
-	// cc is the exploration-scoped certification cache (nil with
-	// CertCacheOff); tin interns phase-2 thread encodings, so the
-	// completer memos key on dense handles and each distinct thread
-	// encoding is stored once per run rather than once per memory.
-	cc   *core.CertCache
-	tin  *core.Interner
 	envs []core.Env   // immutable, shared by all workers
 	obs  [][]lang.Reg // per-thread observed registers, in spec order
 	// sym is the thread-symmetry structure (nil when the reduction is off
@@ -184,12 +175,9 @@ func (e *pfExplorer) addMem(mem *core.Memory, child bool) (core.Handle, bool) {
 	return h, fresh
 }
 
-// memState is a phase-1 state: a memory reachable by promises only. hmem
-// is the memory's handle in the certification cache's interner, computed
-// once at push time and shared by the per-thread unified searches.
+// memState is a phase-1 state: a memory reachable by promises only.
 type memState struct {
 	mem     *core.Memory
-	hmem    core.Handle
 	promise []core.Label // phase-1 trace, kept only when collecting witnesses
 	// hseen is the memory's seen-set handle, consulted against
 	// Options.Remote at process time; 0 marks a root (never dropped).
@@ -197,10 +185,12 @@ type memState struct {
 }
 
 // process handles one phase-1 memory: complete it (phase 2), then expand
-// its certified promise successors. The default configuration runs the
-// unified core.CertifyAndComplete walk, which computes both in one pass;
-// witness collection and CertCacheOff fall back to the seed's two-pass
-// structure (a completer per thread, then find_and_certify per thread).
+// its certified promise successors (phase 1), from one unified
+// core.CertifyAndComplete walk per thread. States counts the memory plus
+// every newly memoised completion-plane state of the walks. Counting stops
+// after the first thread that cannot complete (its own walk is still
+// counted): the memory then contributes no outcomes, so later threads run
+// promises-only through an uncached FindAndCertify and record no finals.
 func (e *pfExplorer) process(ms memState, c *Ctx[memState]) {
 	// A late cross-shard claim verdict drops the memory unprocessed: the
 	// claiming shard completes and expands it instead.
@@ -210,31 +200,17 @@ func (e *pfExplorer) process(ms memState, c *Ctx[memState]) {
 	if !c.Visit(1) {
 		return
 	}
-	if e.cc == nil || e.opts.CollectWitnesses {
-		e.processTwoPass(ms, c)
-		return
-	}
-
-	// One unified search per thread: candidates for phase 1, completions
-	// for phase 2. The visit callback counts newly memoised completion-
-	// plane states, which are exactly the states the two-pass completer
-	// counted, so States is identical in both configurations; mirroring
-	// the two-pass early return, counting stops after the first thread
-	// that cannot complete (its own search is still counted).
-	perThread := make([][]threadFinal, len(e.cp.Threads))
+	perThread := make([][]core.Completion, len(e.cp.Threads))
 	proms := make([][]core.Msg, len(e.cp.Threads))
 	complete := true
+	visit := func() bool { return c.Visit(1) }
 	for tid := range e.cp.Threads {
 		th := e.initialThread(tid, ms.mem)
 		if !complete {
-			// An earlier thread cannot complete, so this memory contributes
-			// no outcomes; later threads only need their candidate promises
-			// (the two-pass structure likewise skips their completers).
-			proms[tid] = e.cc.FindAndCertifyScoped(e.env(tid), th, ms.mem)
+			proms[tid] = (*core.CertCache)(nil).FindAndCertify(e.env(tid), th, ms.mem)
 			continue
 		}
-		r := e.cc.CertifyAndComplete(e.env(tid), th, ms.mem, ms.hmem, e.obs[tid],
-			func() bool { return c.Visit(1) })
+		r := core.CertifyAndComplete(e.env(tid), th, ms.mem, e.obs[tid], visit, e.opts.CollectWitnesses)
 		if r.Aborted {
 			return
 		}
@@ -243,15 +219,14 @@ func (e *pfExplorer) process(ms memState, c *Ctx[memState]) {
 			c.Res.BoundExceeded = true
 		}
 		if len(r.Finals) == 0 {
-			// This thread cannot run to completion under this memory (see
-			// complete): normal for intermediate phase-1 memories.
+			// This thread cannot run to completion under this memory. This
+			// is normal for intermediate phase-1 memories (writes not yet
+			// promised live in some extension); such memories simply
+			// contribute no outcomes. DeadEnds is a naive-machine notion
+			// and is not counted here.
 			complete = false
 		} else {
-			fs := make([]threadFinal, len(r.Finals))
-			for i, vals := range r.Finals {
-				fs[i] = threadFinal{vals: vals}
-			}
-			perThread[tid] = dedupFinals(fs)
+			perThread[tid] = dedupFinals(r.Finals)
 		}
 	}
 	if complete {
@@ -265,28 +240,6 @@ func (e *pfExplorer) process(ms memState, c *Ctx[memState]) {
 	// Expand phase 1: certified promises of each thread.
 	for tid, ws := range proms {
 		for _, w := range ws {
-			mem := ms.mem.Clone()
-			mem.Append(core.Msg{Loc: w.Loc, Val: w.Val, TID: tid})
-			if h, fresh := e.addMem(mem, true); fresh {
-				c.Push(memState{mem: mem, hmem: e.cc.InternMemory(mem), hseen: h})
-			}
-		}
-	}
-}
-
-// processTwoPass is the seed's two-pass structure: a phase-2 completer per
-// thread, then a separate find_and_certify search per thread. It is kept
-// as the witness-collection path (completion traces thread through the
-// completer) and as the CertCacheOff ablation baseline.
-func (e *pfExplorer) processTwoPass(ms memState, c *Ctx[memState]) {
-	// Phase 2: try to complete every thread under this memory.
-	e.complete(ms, c)
-
-	// Expand phase 1: certified promises of each thread.
-	for tid := range e.cp.Threads {
-		th := e.initialThread(tid, ms.mem)
-		env := e.env(tid)
-		for _, w := range e.cc.FindAndCertifyScoped(env, th, ms.mem) {
 			mem := ms.mem.Clone()
 			t := mem.Append(core.Msg{Loc: w.Loc, Val: w.Val, TID: tid})
 			h, fresh := e.addMem(mem, true)
@@ -319,47 +272,8 @@ func (e *pfExplorer) initialThread(tid int, mem *core.Memory) *core.Thread {
 	return th
 }
 
-// threadFinal is one complete execution of a thread: the observed register
-// values and (optionally) the trace.
-type threadFinal struct {
-	vals  []lang.Val
-	trace []core.Label
-}
-
-// complete runs phase 2 for every thread under ms.mem and records the cross
-// product of observations on the worker-local result.
-func (e *pfExplorer) complete(ms memState, ctx *Ctx[memState]) {
-	perThread := make([][]threadFinal, len(e.cp.Threads))
-	for tid := range e.cp.Threads {
-		c := &completer{
-			e:    e,
-			ctx:  ctx,
-			env:  e.env(tid),
-			mem:  ms.mem,
-			obs:  e.obs[tid],
-			memo: make(map[core.Handle][]threadFinal),
-		}
-		finals := c.search(e.initialThread(tid, ms.mem))
-		if len(finals) == 0 {
-			// Some thread cannot run to completion under this memory. This
-			// is normal for intermediate phase-1 memories (writes not yet
-			// promised live in some extension); such memories simply
-			// contribute no outcomes. DeadEnds is a naive-machine notion
-			// and is not counted here.
-			return
-		}
-		perThread[tid] = dedupFinals(finals)
-	}
-
-	memVals := make([]lang.Val, len(e.spec.Locs))
-	for i, l := range e.spec.Locs {
-		memVals[i] = ms.mem.LastWriteTo(l)
-	}
-	e.product(ms, perThread, memVals, ctx)
-}
-
 // product enumerates the cross product of per-thread final observations.
-func (e *pfExplorer) product(ms memState, perThread [][]threadFinal, memVals []lang.Val, ctx *Ctx[memState]) {
+func (e *pfExplorer) product(ms memState, perThread [][]core.Completion, memVals []lang.Val, ctx *Ctx[memState]) {
 	pick := make([]int, len(perThread))
 	for {
 		o := Outcome{Mem: memVals}
@@ -372,12 +286,12 @@ func (e *pfExplorer) product(ms memState, perThread [][]threadFinal, memVals []l
 		idx := make([]int, len(perThread))
 		for i, ro := range e.spec.Regs {
 			tf := perThread[ro.TID][pick[ro.TID]]
-			o.Regs[i] = tf.vals[idx[ro.TID]]
+			o.Regs[i] = tf.Vals[idx[ro.TID]]
 			idx[ro.TID]++
 		}
 		if e.opts.CollectWitnesses {
 			for tid := range perThread {
-				labels = append(labels, perThread[tid][pick[tid]].trace...)
+				labels = append(labels, perThread[tid][pick[tid]].Trace...)
 			}
 			ctx.Res.add(o, &Witness{Labels: labels})
 		} else {
@@ -410,120 +324,17 @@ func regsOf(spec *ObsSpec, tid int) []lang.Reg {
 	return out
 }
 
-func dedupFinals(fs []threadFinal) []threadFinal {
+// dedupFinals keeps the first completion per observation, in place.
+func dedupFinals(fs []core.Completion) []core.Completion {
 	seen := make(map[string]bool, len(fs))
 	out := fs[:0]
 	for _, f := range fs {
-		k := Outcome{Regs: f.vals}.Key()
+		k := Outcome{Regs: f.Vals}.Key()
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
 		out = append(out, f)
-	}
-	return out
-}
-
-// completer runs the per-thread phase-2 search: all complete executions of
-// one thread alone under a fixed memory, with no new promises (every write
-// must fulfil a phase-1 promise). The memo table is private to one
-// (memory, thread) completion, so workers never share it — but its keys
-// are handles from the run-wide thread-encoding interner, so the same
-// thread state recurring under sibling memories is hashed and stored once
-// for the whole run.
-type completer struct {
-	e    *pfExplorer
-	ctx  *Ctx[memState]
-	env  *core.Env
-	mem  *core.Memory
-	obs  []lang.Reg
-	memo map[core.Handle][]threadFinal
-}
-
-func (c *completer) search(th *core.Thread) []threadFinal {
-	if !c.ctx.Alive() {
-		return nil
-	}
-	if th.TS.BoundExceeded {
-		c.ctx.Res.BoundExceeded = true
-		return nil
-	}
-	if th.Done() {
-		if len(th.TS.Prom) > 0 {
-			return nil
-		}
-		vals := make([]lang.Val, len(c.obs))
-		for i, r := range c.obs {
-			vals[i] = th.TS.Regs[r].Val
-		}
-		return []threadFinal{{vals: vals}}
-	}
-	witness := c.e.opts.CollectWitnesses
-	var key core.Handle
-	if !witness {
-		b := core.GetEncBuf()
-		b = core.EncodeThread(b, th)
-		key, _ = c.e.tin.Intern(b)
-		core.PutEncBuf(b)
-		if fs, ok := c.memo[key]; ok {
-			return fs
-		}
-	}
-	if !c.ctx.Visit(1) {
-		return nil
-	}
-
-	id := th.Cont[len(th.Cont)-1]
-	n := &c.env.Code.Nodes[id]
-	var out []threadFinal
-	emit := func(child *core.Thread, lab core.Label) {
-		core.Advance(c.env, child)
-		for _, f := range c.search(child) {
-			if witness {
-				f.trace = append([]core.Label{lab}, f.trace...)
-			}
-			out = append(out, f)
-		}
-	}
-	switch n.Kind {
-	case lang.NLoad:
-		for _, rc := range core.ReadChoices(c.env, th, id, c.mem) {
-			child := th.Clone()
-			lab := core.ApplyRead(c.env, child, id, c.mem, rc.TS)
-			emit(child, lab)
-		}
-	case lang.NStore:
-		for _, t := range core.FulfilChoices(c.env, th, id, c.mem) {
-			child := th.Clone()
-			lab := core.ApplyFulfil(c.env, child, id, c.mem, t)
-			emit(child, lab)
-		}
-		if n.Xcl {
-			child := th.Clone()
-			lab := core.ApplyXclFail(c.env, child, id)
-			emit(child, lab)
-		}
-	case lang.NRMW:
-		for _, rc := range core.ReadChoices(c.env, th, id, c.mem) {
-			if _, writes := core.RMWWriteVal(th.TS, n, rc.Val); !writes {
-				child := th.Clone()
-				lab := core.ApplyRMWNoWrite(c.env, child, id, c.mem, rc.TS)
-				emit(child, lab)
-				continue
-			}
-			// Phase 2 adds no fresh writes: the rmw's write must already be
-			// promised, exactly like a store's fulfilment.
-			for _, tw := range core.RMWFulfilChoices(c.env, th, id, c.mem, rc.TS) {
-				child := th.Clone()
-				lab := core.ApplyRMW(c.env, child, id, c.mem, rc.TS, tw)
-				emit(child, lab)
-			}
-		}
-	default:
-		panic("explore: thread stopped on a non-memory node")
-	}
-	if !witness {
-		c.memo[key] = out
 	}
 	return out
 }

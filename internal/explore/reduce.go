@@ -451,15 +451,43 @@ func NewClaimTable() *ClaimTable {
 // Claim atomically claims the families in want at state h and returns the
 // subset not previously claimed (the caller expands exactly those).
 func (t *ClaimTable) Claim(h core.Handle, want uint32) uint32 {
+	newly, _ := t.claim(h, want)
+	return newly
+}
+
+// claim is Claim that also reports whether it was the first claim on h.
+func (t *ClaimTable) claim(h core.Handle, want uint32) (newly uint32, first bool) {
 	s := &t.shards[uint64(h)%claimShards]
 	s.mu.Lock()
-	got := s.m[h]
-	newly := want &^ got
-	if newly != 0 {
+	got, seen := s.m[h]
+	newly = want &^ got
+	if !seen || newly != 0 {
 		s.m[h] = got | newly
 	}
 	s.mu.Unlock()
-	return newly
+	return newly, !seen
+}
+
+// arriveHook, when non-nil, runs inside Arrive between the seen-set insert
+// and the claim. Tests set it to interleave a second arrival there.
+var arriveHook func()
+
+// Arrive records one arrival at a child state: it interns the state's key
+// b in seen and claims the families in want there. It returns the state's
+// handle, the newly claimed families and whether this arrival counts the
+// state. The count is decided under the claim's lock, not by seen's
+// freshness: the first claim on a state that is new to this leg (its
+// handle lies past the imported seen set) counts it. Two arrivals can
+// interleave their insert and claim, so the arrival that inserted the
+// state first may find every family claimed by the other and be dropped;
+// the count must then go with the arrival that expands the state.
+func (t *ClaimTable) Arrive(seen *SeenSet, b []byte, want uint32) (h core.Handle, newly uint32, count bool) {
+	h, _ = seen.Add(b)
+	if arriveHook != nil {
+		arriveHook()
+	}
+	newly, first := t.claim(h, want)
+	return h, newly, first && int(h) > seen.Base()
 }
 
 // Frontier aux words carry a pending entry's reduction state across a

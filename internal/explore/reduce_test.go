@@ -395,3 +395,41 @@ func TestCloseOutcomesMatchesAllPermutations(t *testing.T) {
 		}
 	}
 }
+
+// TestArriveCountsTheExpandedArrival forces the interleaving that could
+// leave a state uncounted at Parallelism > 1: arrival A inserts the state
+// first, arrival B then inserts it and claims every family, and only then
+// does A claim — finding nothing left, so A is dropped. Exactly one
+// arrival must count the state, and it must be B, the one expanded.
+func TestArriveCountsTheExpandedArrival(t *testing.T) {
+	type arrival struct {
+		newly uint32
+		count bool
+	}
+	seen, claims := NewSeenSet(), NewClaimTable()
+	key := []byte("state")
+	var a, b arrival
+	arriveHook = func() {
+		arriveHook = nil
+		_, b.newly, b.count = claims.Arrive(seen, key, 0b11)
+	}
+	defer func() { arriveHook = nil }()
+	_, a.newly, a.count = claims.Arrive(seen, key, 0b01)
+	if a.newly != 0 || b.newly != 0b11 {
+		t.Fatalf("interleaving not forced: A claimed %b, B claimed %b", a.newly, b.newly)
+	}
+	if a.count || !b.count {
+		t.Errorf("count went to A (dropped) = %v, B (expanded) = %v; want B only", a.count, b.count)
+	}
+	if _, _, count := claims.Arrive(seen, key, 0b11); count {
+		t.Error("a later arrival counted the state again")
+	}
+
+	// After a resume, a state of an earlier leg is counted by nobody, even
+	// though this leg's claim table has never seen it.
+	resumed := NewSeenSet()
+	resumed.Import([][]byte{key})
+	if _, newly, count := NewClaimTable().Arrive(resumed, key, 0b01); newly != 0b01 || count {
+		t.Errorf("resumed leg: claimed %b, count %v; want 1, false", newly, count)
+	}
+}

@@ -76,7 +76,8 @@ func run(cp *lang.CompiledProgram, spec *explore.ObsSpec, opts explore.Options, 
 
 	seen := explore.NewSeenSet()
 	// addState mirrors the naive explorer's: intern the canonical key and,
-	// for child states, claim the arrival's awake families locally, report
+	// for child states, claim the arrival's awake families locally (the
+	// claim decides whether the arrival counts the state), report
 	// the newly claimed set to the remote dedup hook (which may deny
 	// families another shard's attempt was already granted — denied
 	// families stay claimed locally, delegated to their live claimants)
@@ -92,23 +93,20 @@ func run(cp *lang.CompiledProgram, spec *explore.ObsSpec, opts explore.Options, 
 		} else {
 			b = m.appendKey(b)
 		}
-		h, fresh = seen.Add(b)
-		if child {
-			if claims != nil {
-				ctodo = claims.Claim(h, explore.CanonMask(allMask&^sleep, order))
-				if ctodo != 0 && opts.Remote != nil {
-					ctodo &^= opts.Remote.Discovered(b, h, ctodo)
-				}
-				todo = explore.ConcreteMask(ctodo, order)
-				drop = todo == 0
-			} else {
-				ctodo = explore.AllFamilies
-				if !fresh {
-					drop = true
-				} else if opts.Remote != nil && opts.Remote.Discovered(b, h, explore.AllFamilies) == explore.AllFamilies {
-					drop = true
-				}
+		switch {
+		case child && claims != nil:
+			h, ctodo, fresh = claims.Arrive(seen, b, explore.CanonMask(allMask&^sleep, order))
+			if ctodo != 0 && opts.Remote != nil {
+				ctodo &^= opts.Remote.Discovered(b, h, ctodo)
 			}
+			todo = explore.ConcreteMask(ctodo, order)
+			drop = todo == 0
+		case child:
+			h, fresh = seen.Add(b)
+			ctodo = explore.AllFamilies
+			drop = !fresh || opts.Remote != nil && opts.Remote.Discovered(b, h, explore.AllFamilies) == explore.AllFamilies
+		default:
+			h, fresh = seen.Add(b)
 		}
 		core.PutEncBuf(b)
 		return

@@ -13,7 +13,6 @@ import (
 
 	"promising/internal/backends"
 	"promising/internal/cache"
-	"promising/internal/core"
 	"promising/internal/explore"
 	"promising/internal/lang"
 	"promising/internal/litmus"
@@ -126,10 +125,6 @@ func (d *differ) run(ctx context.Context, t *litmus.Test, id string) (DiffVerdic
 		return DiffVerdict{}, fmt.Errorf("fuzz: compile %s: %w", id, err)
 	}
 	spec := t.Spec()
-	// One certification cache per candidate, shared by the certifying
-	// backends (promise-first and naive explore the same compiled
-	// program), so a campaign cell's certification work is done once.
-	cc := explore.NewSharedCertCache()
 
 	var out DiffVerdict
 	for _, b := range d.backends {
@@ -148,7 +143,7 @@ func (d *differ) run(ctx context.Context, t *litmus.Test, id string) (DiffVerdic
 				}
 			}
 		}
-		res := d.explore(ctx, b, cp, spec, cc, &cell)
+		res := d.explore(ctx, b, cp, spec, &cell)
 		switch {
 		case cell.Status == statusCrash:
 		case res.TimedOut:
@@ -189,16 +184,13 @@ func (d *differ) run(ctx context.Context, t *litmus.Test, id string) (DiffVerdic
 // explore runs one backend with panic containment: a crashing backend is a
 // finding, not a campaign abort.
 func (d *differ) explore(ctx context.Context, b litmus.NamedRunner, cp *lang.CompiledProgram,
-	spec *explore.ObsSpec, cc *core.CertCache, cell *CellResult) (res *explore.Result) {
+	spec *explore.ObsSpec, cell *CellResult) (res *explore.Result) {
 	opts := explore.DefaultOptions()
 	opts.Ctx = ctx
 	if d.timeout > 0 {
 		opts.Deadline = time.Now().Add(d.timeout)
 	}
 	opts.MaxStates = d.maxStates
-	if b.Name == backends.Promising || b.Name == backends.Naive {
-		opts.CertCache = cc
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			cell.Status = statusCrash

@@ -9,19 +9,22 @@ import (
 	"promising/internal/flat"
 )
 
-// The cert-cache equivalence suite: the exploration-scoped certification
-// cache (and the unified certify+complete walk it enables in the
-// promise-first explorer) is a pure memoisation layer, so outcome sets
-// must be byte-identical and state counts equal with the cache on and off,
-// at every parallelism level, for every backend's supported tests.
+// The cert-cache equivalence suite. The exploration-scoped certification
+// cache is a pure memoisation layer for the naive explorer, so outcome
+// sets must be byte-identical and state counts equal with the cache on
+// and off, at every parallelism level. Promise-first shares no cache; its
+// unified certify+complete walk is checked against the two-pass
+// PromiseFirstReference instead.
 
 // runDiff runs one test under one backend at one parallelism level with
-// the cache on or off, returning sorted outcome keys and the state count.
-func runDiff(t *testing.T, tst *Test, run Runner, par int, off bool) ([]string, int) {
+// the cache on or off and the given reductions, returning sorted outcome
+// keys and the state count.
+func runDiff(t *testing.T, tst *Test, run Runner, par int, off bool, red explore.ReductionMode) ([]string, int) {
 	t.Helper()
 	opts := explore.DefaultOptions()
 	opts.Parallelism = par
 	opts.CertCacheOff = off
+	opts.Reductions = red
 	v, err := Run(tst, run, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", tst.Name(), err)
@@ -32,38 +35,43 @@ func runDiff(t *testing.T, tst *Test, run Runner, par int, off bool) ([]string, 
 	keys := outcomeKeys(v.Result)
 	if v.Result.BoundExceeded {
 		// Fold the (schedule-independent) bound flag into the compared
-		// fingerprint: the unified walk must flag exactly the runs the
-		// two-pass implementation flagged.
+		// fingerprint: the compared runs must flag exactly the runs the
+		// reference flagged.
 		keys = append(keys, "bound-exceeded")
 	}
 	return keys, v.Result.States
 }
 
 // TestCertCacheEquivalenceCatalog crosses the full canonical catalog with
-// the certifying explorers, parallelism levels 1, 2 and NumCPU, and the
-// cache on/off: outcome sets must be byte-identical and state counts equal
-// in every configuration.
+// the certifying explorers and parallelism levels 1, 2 and NumCPU:
+// outcome sets must be byte-identical and state counts equal to the
+// reference — the uncached (CertCacheOff) sequential run for naive, the
+// two-pass PromiseFirstReference for promise-first (which has no
+// reductions, so promise-first runs without its symmetry reduction).
 func TestCertCacheEquivalenceCatalog(t *testing.T) {
 	explorers := []struct {
-		name string
-		run  Runner
+		name   string
+		run    Runner
+		ref    Runner
+		refOff bool
+		red    explore.ReductionMode
 	}{
-		{"promise-first", explore.PromiseFirst},
-		{"naive", explore.Naive},
+		{"promise-first", explore.PromiseFirst, PromiseFirstReference, false, explore.ReduceOff},
+		{"naive", explore.Naive, explore.Naive, true, explore.ReduceOn},
 	}
 	levels := []int{1, 2, runtime.NumCPU()}
 
 	for _, tst := range Catalog() {
 		for _, ex := range explorers {
-			refKeys, refStates := runDiff(t, tst, ex.run, 1, true)
+			refKeys, refStates := runDiff(t, tst, ex.ref, 1, ex.refOff, ex.red)
 			for _, par := range levels {
-				keys, states := runDiff(t, tst, ex.run, par, false)
+				keys, states := runDiff(t, tst, ex.run, par, false, ex.red)
 				if !sameKeys(keys, refKeys) {
-					t.Errorf("%s/%s par=%d: outcome set with cache differs from uncached (%d vs %d outcomes)",
+					t.Errorf("%s/%s par=%d: outcome set differs from the reference (%d vs %d outcomes)",
 						tst.Name(), ex.name, par, len(keys), len(refKeys))
 				}
 				if states != refStates {
-					t.Errorf("%s/%s par=%d: States with cache = %d, uncached = %d",
+					t.Errorf("%s/%s par=%d: States = %d, reference = %d",
 						tst.Name(), ex.name, par, states, refStates)
 				}
 			}
@@ -88,8 +96,8 @@ func TestCertCacheEquivalenceOtherBackends(t *testing.T) {
 			t.Fatalf("catalog test %q missing", name)
 		}
 		for _, be := range backends {
-			offKeys, offStates := runDiff(t, tst, be.run, 1, true)
-			onKeys, onStates := runDiff(t, tst, be.run, 1, false)
+			offKeys, offStates := runDiff(t, tst, be.run, 1, true, explore.ReduceOn)
+			onKeys, onStates := runDiff(t, tst, be.run, 1, false, explore.ReduceOn)
 			if !sameKeys(onKeys, offKeys) {
 				t.Errorf("%s/%s: outcome set differs with cache flag", name, be.name)
 			}
@@ -101,26 +109,29 @@ func TestCertCacheEquivalenceOtherBackends(t *testing.T) {
 }
 
 // TestCertCacheEquivalenceWitnesses pins the witness-collecting
-// configuration (which uses the two-pass promise-first path even with the
-// cache on): outcome sets and counts must match the default path.
+// configuration on every catalog test: promise-first carries the
+// completion traces on its one unified walk, so outcome sets and States
+// must match the default run (with reductions off, which witness
+// collection forces), and every outcome must have a witness.
 func TestCertCacheEquivalenceWitnesses(t *testing.T) {
-	for _, name := range []string{"MP", "LB", "SB", "PPOCA"} {
-		tst := CatalogTest(name)
-		if tst == nil {
-			t.Fatalf("catalog test %q missing", name)
-		}
-		refKeys, refStates := runDiff(t, tst, explore.PromiseFirst, 1, false)
+	for _, tst := range Catalog() {
 		opts := explore.DefaultOptions()
+		opts.Reductions = explore.ReduceOff
+		ref, err := Run(tst, explore.PromiseFirst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		opts.CollectWitnesses = true
 		v, err := Run(tst, explore.PromiseFirst, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if keys := outcomeKeys(v.Result); !sameKeys(keys, refKeys) {
+		name := tst.Name()
+		if !sameKeys(outcomeKeys(v.Result), outcomeKeys(ref.Result)) {
 			t.Errorf("%s: witness-mode outcome set differs from default", name)
 		}
-		if v.Result.States != refStates {
-			t.Errorf("%s: witness-mode States = %d, default = %d", name, v.Result.States, refStates)
+		if v.Result.States != ref.Result.States {
+			t.Errorf("%s: witness-mode States = %d, default = %d", name, v.Result.States, ref.Result.States)
 		}
 		for k := range v.Result.Outcomes {
 			if _, ok := v.Result.Witnesses[k]; !ok {
@@ -130,8 +141,9 @@ func TestCertCacheEquivalenceWitnesses(t *testing.T) {
 	}
 }
 
-// TestCertCacheStats pins the stats surface: a certifying exploration
-// reports cache activity, and the CertCacheOff ablation reports none.
+// TestCertCacheStats pins the stats surface: a naive exploration reports
+// cache activity, and the CertCacheOff ablation and promise-first (which
+// shares no cache) report none.
 func TestCertCacheStats(t *testing.T) {
 	tst := CatalogTest("LB")
 	opts := explore.DefaultOptions()
@@ -160,6 +172,14 @@ func TestCertCacheStats(t *testing.T) {
 	}
 	if st := v.Result.Stats; st.CertHits != 0 || st.CertMisses != 0 || st.CertEntries != 0 {
 		t.Errorf("naive/LB with CertCacheOff: want zero cert stats, got %+v", st)
+	}
+
+	v, err = Run(tst, explore.PromiseFirst, explore.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Result.Stats; st.CertHits != 0 || st.CertMisses != 0 || st.CertEntries != 0 {
+		t.Errorf("promise-first/LB: want zero cert stats, got %+v", st)
 	}
 }
 
@@ -200,11 +220,11 @@ func TestCertCacheSharedAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestCertCacheSharedAcrossSpecs pins the unified-entry keying: sharing a
-// CertCache between two tests over the same program but different
-// observation specs must not leak one spec's cached completions into the
-// other (the finals baked into a unified entry are projected onto the
-// spec's registers, so the projection is part of the key).
+// TestCertCacheSharedAcrossSpecs is an outcome check: handing one
+// CertCache to promise-first runs of two tests over the same program but
+// different observation specs, in either order, must leave each test's
+// outcome set and verdict as in a run without it (promise-first's
+// completions are call-scoped, so nothing can leak between the specs).
 func TestCertCacheSharedAcrossSpecs(t *testing.T) {
 	srcA := `arch arm
 name LBA
@@ -259,9 +279,7 @@ expect allowed`
 			va.Allowed, refA.Allowed, vb.Allowed, refB.Allowed)
 	}
 
-	// The dangerous direction: the narrow spec populates the cache first,
-	// then the wide spec queries — without the projection in the key, the
-	// wide run would read completions that observe too few registers.
+	// The other order: the narrow spec runs first, then the wide one.
 	opts2 := explore.DefaultOptions()
 	opts2.CertCache = explore.NewSharedCertCache()
 	vb2, err := Run(tb, explore.PromiseFirst, opts2)

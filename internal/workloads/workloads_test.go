@@ -241,55 +241,3 @@ func TestParseID(t *testing.T) {
 		t.Error("expected error for unknown family")
 	}
 }
-
-// TestCertCacheEquivalenceWorkloads is the workload-scale arm of the
-// cert-cache differential suite (internal/litmus covers the catalog):
-// promise-first with the exploration-scoped cache and its unified
-// certify+complete walk must produce byte-identical outcome sets and
-// equal state counts to the CertCacheOff (seed two-pass) configuration,
-// sequentially and in parallel.
-func TestCertCacheEquivalenceWorkloads(t *testing.T) {
-	for _, id := range []string{"SLA-2", "SLC-1", "PCS-1-1", "STC-100-010-000", "DQ-100-1-0"} {
-		in, err := ParseID(lang.ARM, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var refOutcomes map[string]explore.Outcome
-		refStates := -1
-		refBound := false
-		for _, cfg := range []struct {
-			off bool
-			par int
-		}{{true, 1}, {false, 1}, {false, 2}} {
-			opts := explore.DefaultOptions()
-			opts.CertCacheOff = cfg.off
-			opts.Parallelism = cfg.par
-			v, err := litmus.Run(in.Test, explore.PromiseFirst, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if refStates < 0 {
-				refOutcomes, refStates = v.Result.Outcomes, v.Result.States
-				refBound = v.Result.BoundExceeded
-				continue
-			}
-			if v.Result.BoundExceeded != refBound {
-				t.Errorf("%s off=%v par=%d: BoundExceeded = %v, want %v", id, cfg.off, cfg.par,
-					v.Result.BoundExceeded, refBound)
-			}
-			if len(v.Result.Outcomes) != len(refOutcomes) {
-				t.Errorf("%s off=%v par=%d: %d outcomes, want %d", id, cfg.off, cfg.par,
-					len(v.Result.Outcomes), len(refOutcomes))
-			}
-			for k := range refOutcomes {
-				if _, ok := v.Result.Outcomes[k]; !ok {
-					t.Errorf("%s off=%v par=%d: outcome set differs from reference", id, cfg.off, cfg.par)
-					break
-				}
-			}
-			if v.Result.States != refStates {
-				t.Errorf("%s off=%v par=%d: States = %d, want %d", id, cfg.off, cfg.par, v.Result.States, refStates)
-			}
-		}
-	}
-}
