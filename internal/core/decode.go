@@ -12,7 +12,7 @@ import (
 // checkpoint/resume layer (explore.Snapshot) to rebuild frontier states
 // from their interned byte strings. Decoding is exact: re-encoding a
 // decoded state yields byte-identical output, so a resumed exploration
-// deduplicates against an imported SeenSet exactly as the original run
+// deduplicates against an imported seen set exactly as the original run
 // would have.
 
 // errTruncated reports an encoding that ended mid-field.

@@ -13,7 +13,7 @@ import (
 // distinct encoding to a dense 64-bit Handle exactly once, so the byte
 // string is copied and hashed into a map a single time per exploration
 // instead of once per lookup site, and every downstream table (the engine's
-// SeenSet, the certification cache, per-thread completion memos) keys on
+// seen set, the certification cache, per-thread completion memos) keys on
 // 8-byte handles instead of variable-length strings.
 
 // Handle is a dense 64-bit identifier for an interned encoding. Handles

@@ -8,7 +8,7 @@ import (
 )
 
 // TestDeltaSnapshotByteEquivalence is the deterministic byte-compare of
-// the two emission paths over one shared engine state: a SeenSet that
+// the two emission paths over one shared engine state: a seenSet that
 // imported a base leg and then grew, snapshotted once through the full
 // path (newSnapshot over Export) and once through the delta path
 // (newDeltaSnapshot over ExportDelta) followed by ApplyDelta onto the
@@ -20,7 +20,7 @@ func TestDeltaSnapshotByteEquivalence(t *testing.T) {
 	opts := DefaultOptions()
 
 	// The base leg: a fresh seen-set with its own frontier and outcomes.
-	baseSS := NewSeenSet()
+	baseSS := newSeenSet()
 	var baseSeen [][]byte
 	for i := 0; i < 40; i++ {
 		k := []byte(fmt.Sprintf("state-%03d", i))
@@ -35,7 +35,7 @@ func TestDeltaSnapshotByteEquivalence(t *testing.T) {
 
 	// The resumed leg: import the base (recording the delta cursor), then
 	// discover new states and a new outcome.
-	ss := NewSeenSet()
+	ss := newSeenSet()
 	ss.Import(base.Seen)
 	for i := 40; i < 65; i++ {
 		ss.Add([]byte(fmt.Sprintf("state-%03d", i)))

@@ -20,7 +20,7 @@ import (
 //     stack (work nearest the root splits into the largest subtrees, the
 //     classic stealing order), so the shared lock sits off the per-state
 //     hot path.
-//   - Deduplication happens before Push via a SeenSet, which interns the
+//   - Deduplication happens before Push via a seenSet, which interns the
 //     canonical state encoding through a sharded core.Interner, so no state
 //     is ever processed twice, each encoding is stored once for the whole
 //     run, and counters stay deterministic under any schedule.
@@ -32,12 +32,12 @@ import (
 // Options.Parallelism picks the worker count; 1 reduces to the plain
 // sequential depth-first loop the seed explorers used.
 
-// SeenSet is a concurrent set of canonical state encodings backed by a
+// seenSet is a concurrent set of canonical state encodings backed by a
 // core.Interner: adding a state interns its encoding, so the set's keys
 // are dense 64-bit handles, each distinct encoding is copied exactly once
 // per run, and the handle identifies the state to any other per-run table
 // (sharding inside the interner keeps parallel workers off one lock).
-type SeenSet struct {
+type seenSet struct {
 	in *core.Interner
 	// base is the import high-water cursor: the set size right after
 	// Import rebuilt the previous leg's contents. ExportDelta exports only
@@ -46,38 +46,38 @@ type SeenSet struct {
 	base int
 }
 
-// NewSeenSet returns an empty set.
-func NewSeenSet() *SeenSet { return &SeenSet{in: core.NewInterner()} }
+// newSeenSet returns an empty set.
+func newSeenSet() *seenSet { return &seenSet{in: core.NewInterner()} }
 
 // Add interns the encoded state, reporting its handle and whether it was
 // absent. The check-and-insert is atomic: exactly one caller wins any race
 // on the same encoding. The bytes are copied on first sight, so the caller
 // may recycle b (core.GetEncBuf/PutEncBuf).
-func (s *SeenSet) Add(b []byte) (core.Handle, bool) { return s.in.Intern(b) }
+func (s *seenSet) Add(b []byte) (core.Handle, bool) { return s.in.Intern(b) }
 
 // Len returns the number of states in the set.
-func (s *SeenSet) Len() int { return s.in.Len() }
+func (s *seenSet) Len() int { return s.in.Len() }
 
 // Export returns a copy of every encoding in the set (for snapshots); the
 // order is unspecified, Snapshot.Marshal canonicalizes.
-func (s *SeenSet) Export() [][]byte { return s.in.Export() }
+func (s *seenSet) Export() [][]byte { return s.in.Export() }
 
 // Import adds every encoding in entries to the set, rebuilding a set
 // exported from a snapshot, and records the import high-water cursor for
 // ExportDelta.
-func (s *SeenSet) Import(entries [][]byte) {
+func (s *seenSet) Import(entries [][]byte) {
 	s.in.Import(entries)
 	s.base = s.in.Len()
 }
 
 // Base returns the number of entries the set held right after Import —
 // the cursor a delta snapshot's BaseSeen field records.
-func (s *SeenSet) Base() int { return s.base }
+func (s *seenSet) Base() int { return s.base }
 
 // ExportDelta returns a copy of only the encodings added since Import
 // (all of them when the set was never imported into). Order is
 // unspecified, like Export's.
-func (s *SeenSet) ExportDelta() [][]byte { return s.in.ExportSince(s.base) }
+func (s *seenSet) ExportDelta() [][]byte { return s.in.ExportSince(s.base) }
 
 // Checkpoint is the cooperative-checkpoint controller of one engine run.
 // Request makes every worker stop at its next safe point (the boundary
@@ -292,6 +292,10 @@ type Ctx[S any] struct {
 	// when the stack grows (Engine.Run's work loop).
 	local []S
 	spill bool
+	// scratch is the Process callback's per-worker state, created on its
+	// first call in this worker (the interleaving driver keeps its
+	// expansion buffers here).
+	scratch any
 }
 
 // engineRun is the state shared by all workers of one Run.

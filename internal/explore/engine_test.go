@@ -11,7 +11,7 @@ import (
 // admit exactly one winner per encoding, and that winners and losers agree
 // on the interned handle.
 func TestSeenSetAddOnce(t *testing.T) {
-	s := NewSeenSet()
+	s := newSeenSet()
 	const keys = 1000
 	const workers = 8
 	wins := make([]int, workers)
@@ -59,8 +59,8 @@ type synthState struct {
 	path  int64
 }
 
-func synthEngine(fanout, depth int) (*Engine[synthState], *SeenSet) {
-	seen := NewSeenSet()
+func synthEngine(fanout, depth int) (*Engine[synthState], *seenSet) {
+	seen := newSeenSet()
 	eng := &Engine[synthState]{}
 	eng.Process = func(s synthState, c *Ctx[synthState]) {
 		if !c.Visit(1) {

@@ -7,7 +7,7 @@
 // Both explorers (and the flat and axiomatic backends in their own
 // packages) run on the shared parallel engine in engine.go: a
 // work-stealing worker pool over a Frontier of pending states, with
-// deduplication through a hash-sharded SeenSet and deterministic merging
+// deduplication through a hash-sharded seenSet and deterministic merging
 // of worker-local Results. Options.Parallelism selects the worker count.
 package explore
 

@@ -24,7 +24,7 @@ import (
 // per-thread observations.
 //
 // Both phases run on the parallel engine: phase-1 memories are the frontier
-// states (deduplicated through a shared SeenSet), and each worker runs the
+// states (deduplicated through a shared seenSet), and each worker runs the
 // embarrassingly parallel phase 2 of the memories it pops, so the heavy
 // per-memory completion work scales with Options.Parallelism.
 //
@@ -63,7 +63,7 @@ func pfRun(cp *lang.CompiledProgram, spec *ObsSpec, opts Options, snap *Snapshot
 		cp:   cp,
 		spec: spec,
 		opts: opts,
-		seen: NewSeenSet(),
+		seen: newSeenSet(),
 	}
 	if opts.Reductions.Symmetry() && !opts.CollectWitnesses {
 		// Thread-symmetry reduction: phase-1 memories are deduplicated on
@@ -138,7 +138,7 @@ type pfExplorer struct {
 	cp   *lang.CompiledProgram
 	spec *ObsSpec
 	opts Options
-	seen *SeenSet
+	seen *seenSet
 	envs []core.Env   // immutable, shared by all workers
 	obs  [][]lang.Reg // per-thread observed registers, in spec order
 	// sym is the thread-symmetry structure (nil when the reduction is off

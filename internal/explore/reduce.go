@@ -23,7 +23,7 @@ import (
 // thread's own id), so any permutation of a symmetry class maps reachable
 // states to reachable states and outcomes to outcomes (Ip & Dill 1996;
 // Emerson & Sistla 1996). Exploration therefore dedups on one canonical
-// representative per permutation orbit. Since the interner/SeenSet is the
+// representative per permutation orbit. Since the interner/seenSet is the
 // single dedup choke point, every backend inherits the reduction by
 // canonicalizing the key it interns. Outcome sets are made
 // permutation-closed at the end of the run (the image of a reachable
@@ -51,19 +51,23 @@ import (
 // canonical one (an isomorphism), so a family claimed at canonical slot
 // k means the same expansion from every orbit member, and swapping tied
 // members is an automorphism of the canonical state. That keeps the
-// per-family claims of ClaimTable and of the cluster's cross-shard claim
+// per-family claims of claimTable and of the cluster's cross-shard claim
 // protocol comparable across the representatives of one orbit.
 //
 // Independence pruning (sleep sets, Godefroid): when the step taken at a
 // state commutes with every step of some other thread family, exploring
 // that family's steps both before and after the taken step reaches the
-// same states twice. Each explorer's entry carries a "sleep set" of
+// same states twice. Each entry of the interleaving driver
+// (interleave.go, shared by naive and flat) carries a "sleep set" of
 // families known to be exhaustively covered by a sibling ordering; slept
-// families are not expanded. A per-canonical-state claim table records
-// which families have ever been expanded there, so re-arrivals expand
-// only newly awake families. Sleep sets prune transitions, never states:
-// every reachable state is still visited, so States/DeadEnds and the
-// outcome set are identical with pruning on or off.
+// families are not expanded. The driver keeps the sleep sets and claims;
+// each backend's successor hook supplies only its dependence relation,
+// as the candidate families each step wakes. A per-canonical-state claim
+// table records which families have ever been expanded there, so
+// re-arrivals expand only newly awake families. Sleep sets prune
+// transitions, never states: every reachable state is still visited, so
+// States/DeadEnds and the outcome set are identical with pruning on or
+// off.
 
 // ReductionMode selects which state-space reductions an exploration
 // applies. The zero value enables both (reductions are on by default);
@@ -406,8 +410,8 @@ func CanonMask(mask uint32, order []int) uint32 {
 	return out
 }
 
-// ConcreteMask is the inverse of CanonMask for the same order.
-func ConcreteMask(mask uint32, order []int) uint32 {
+// concreteMask is the inverse of CanonMask for the same order.
+func concreteMask(mask uint32, order []int) uint32 {
 	if order == nil || mask == 0 {
 		return mask
 	}
@@ -420,7 +424,7 @@ func ConcreteMask(mask uint32, order []int) uint32 {
 	return out
 }
 
-// ClaimTable records, per canonical state handle, the set of thread
+// claimTable records, per canonical state handle, the set of thread
 // families ever claimed for expansion there (in the canonical frame, so
 // arrivals at different orbit representatives share one entry — sound
 // because the representatives are isomorphic states and outcomes are
@@ -428,7 +432,7 @@ func ConcreteMask(mask uint32, order []int) uint32 {
 // expanded at most once per state over the whole run, which is what keeps
 // re-arrivals with different sleep sets from re-expanding covered
 // families. Sharded like the interner for parallel workers.
-type ClaimTable struct {
+type claimTable struct {
 	shards [claimShards]claimShard
 }
 
@@ -439,9 +443,9 @@ type claimShard struct {
 	m  map[core.Handle]uint32
 }
 
-// NewClaimTable returns an empty claim table.
-func NewClaimTable() *ClaimTable {
-	t := &ClaimTable{}
+// newClaimTable returns an empty claim table.
+func newClaimTable() *claimTable {
+	t := &claimTable{}
 	for i := range t.shards {
 		t.shards[i].m = make(map[core.Handle]uint32)
 	}
@@ -450,13 +454,13 @@ func NewClaimTable() *ClaimTable {
 
 // Claim atomically claims the families in want at state h and returns the
 // subset not previously claimed (the caller expands exactly those).
-func (t *ClaimTable) Claim(h core.Handle, want uint32) uint32 {
+func (t *claimTable) Claim(h core.Handle, want uint32) uint32 {
 	newly, _ := t.claim(h, want)
 	return newly
 }
 
 // claim is Claim that also reports whether it was the first claim on h.
-func (t *ClaimTable) claim(h core.Handle, want uint32) (newly uint32, first bool) {
+func (t *claimTable) claim(h core.Handle, want uint32) (newly uint32, first bool) {
 	s := &t.shards[uint64(h)%claimShards]
 	s.mu.Lock()
 	got, seen := s.m[h]
@@ -481,7 +485,7 @@ var arriveHook func()
 // interleave their insert and claim, so the arrival that inserted the
 // state first may find every family claimed by the other and be dropped;
 // the count must then go with the arrival that expands the state.
-func (t *ClaimTable) Arrive(seen *SeenSet, b []byte, want uint32) (h core.Handle, newly uint32, count bool) {
+func (t *claimTable) Arrive(seen *seenSet, b []byte, want uint32) (h core.Handle, newly uint32, count bool) {
 	h, _ = seen.Add(b)
 	if arriveHook != nil {
 		arriveHook()
@@ -494,13 +498,13 @@ func (t *ClaimTable) Arrive(seen *SeenSet, b []byte, want uint32) (h core.Handle
 // snapshot: the arrival sleep set (bits 0-29), the claimed to-expand set
 // (bits 30-59) and the first-ever-arrival flag (bit 60). A zero word —
 // and a snapshot with no aux at all — decodes to the conservative
-// "expand everything, not fresh" state only through UnpackAux's caller
-// defaulting; PackAux/UnpackAux themselves are exact inverses.
+// "expand everything, not fresh" state only through unpackAux's caller
+// defaulting; packAux/unpackAux themselves are exact inverses.
 
 const auxMaskBits = 30
 
-// PackAux packs a frontier entry's reduction state into one aux word.
-func PackAux(sleep, todo uint32, fresh bool) uint64 {
+// packAux packs a frontier entry's reduction state into one aux word.
+func packAux(sleep, todo uint32, fresh bool) uint64 {
 	w := uint64(sleep&(1<<auxMaskBits-1)) | uint64(todo&(1<<auxMaskBits-1))<<auxMaskBits
 	if fresh {
 		w |= 1 << (2 * auxMaskBits)
@@ -508,8 +512,8 @@ func PackAux(sleep, todo uint32, fresh bool) uint64 {
 	return w
 }
 
-// UnpackAux is the inverse of PackAux.
-func UnpackAux(w uint64) (sleep, todo uint32, fresh bool) {
+// unpackAux is the inverse of packAux.
+func unpackAux(w uint64) (sleep, todo uint32, fresh bool) {
 	sleep = uint32(w) & (1<<auxMaskBits - 1)
 	todo = uint32(w>>auxMaskBits) & (1<<auxMaskBits - 1)
 	fresh = w&(1<<(2*auxMaskBits)) != 0

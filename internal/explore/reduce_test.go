@@ -406,7 +406,7 @@ func TestArriveCountsTheExpandedArrival(t *testing.T) {
 		newly uint32
 		count bool
 	}
-	seen, claims := NewSeenSet(), NewClaimTable()
+	seen, claims := newSeenSet(), newClaimTable()
 	key := []byte("state")
 	var a, b arrival
 	arriveHook = func() {
@@ -427,9 +427,9 @@ func TestArriveCountsTheExpandedArrival(t *testing.T) {
 
 	// After a resume, a state of an earlier leg is counted by nobody, even
 	// though this leg's claim table has never seen it.
-	resumed := NewSeenSet()
+	resumed := newSeenSet()
 	resumed.Import([][]byte{key})
-	if _, newly, count := NewClaimTable().Arrive(resumed, key, 0b01); newly != 0b01 || count {
+	if _, newly, count := newClaimTable().Arrive(resumed, key, 0b01); newly != 0b01 || count {
 		t.Errorf("resumed leg: claimed %b, count %v; want 1, false", newly, count)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // dedup set's contents, the outcomes and counters accumulated so far, and
 // enough identity (format version, semantics epoch, backend, certify
 // flag, test hash) to refuse resumption under different semantics.
-// Resuming rebuilds the worker stacks and the SeenSet and continues the
+// Resuming rebuilds the worker stacks and the seenSet and continues the
 // run; because deduplication guarantees every state is processed exactly
 // once across all legs, the union of a snapshot's accumulated result with
 // its resumed leg is byte-identical (outcome sets, States, DeadEnds) to
@@ -82,7 +82,7 @@ type Snapshot struct {
 	// naive, phase-1 memories for promising, flat machine keys for flat,
 	// joint-trace index prefixes for axiomatic).
 	Frontier [][]byte `json:"frontier"`
-	// FrontierAux carries per-entry reduction state (PackAux: sleep set,
+	// FrontierAux carries per-entry reduction state (packAux: sleep set,
 	// claimed families, fresh flag) parallel to Frontier; empty when the
 	// run had no pruning. Entries with equal state encodings but
 	// different aux words are distinct pending work items.
@@ -128,7 +128,7 @@ type Snapshot struct {
 
 // newSnapshot assembles a snapshot from a checkpointed run's partial
 // result. frontier and seen are the backend's canonical encodings; aux,
-// when non-nil, is parallel to frontier (PackAux words); res must already
+// when non-nil, is parallel to frontier (packAux words); res must already
 // include any prior snapshot's accumulated counters (the resume path
 // merges before re-snapshotting).
 func newSnapshot(backend string, opts *Options, res *Result, frontier, seen [][]byte, aux []uint64) *Snapshot {
@@ -282,8 +282,9 @@ func (s *Snapshot) mergeInto(res *Result) {
 }
 
 // NewSnapshotFor assembles a snapshot on behalf of an out-of-package
-// backend (flat, axiomatic); in-package explorers use newSnapshot
-// directly. aux may be nil when the backend ran without pruning.
+// backend that does not run the interleaving driver (axiomatic); the
+// driver and promise-first use newSnapshot directly. aux may be nil when
+// the backend ran without pruning.
 func NewSnapshotFor(backend string, opts *Options, res *Result, frontier, seen [][]byte, aux []uint64) *Snapshot {
 	return newSnapshot(backend, opts, res, frontier, seen, aux)
 }
@@ -292,19 +293,13 @@ func NewSnapshotFor(backend string, opts *Options, res *Result, frontier, seen [
 // identical to newSnapshot except that Seen carries only the entries the
 // leg added past the imported base (ss.ExportDelta) and the delta header
 // fields chain it to prev, the snapshot the leg resumed from.
-func newDeltaSnapshot(backend string, opts *Options, res *Result, frontier [][]byte, ss *SeenSet, aux []uint64, prev *Snapshot) *Snapshot {
+func newDeltaSnapshot(backend string, opts *Options, res *Result, frontier [][]byte, ss *seenSet, aux []uint64, prev *Snapshot) *Snapshot {
 	s := newSnapshot(backend, opts, res, frontier, ss.ExportDelta(), aux)
 	s.Test = prev.Test
 	s.Delta = true
 	s.Leg = prev.Leg + 1
 	s.BaseSeen = ss.Base()
 	return s
-}
-
-// NewDeltaSnapshotFor is newDeltaSnapshot for the out-of-package backends
-// (flat); see NewSnapshotFor.
-func NewDeltaSnapshotFor(backend string, opts *Options, res *Result, frontier [][]byte, ss *SeenSet, aux []uint64, prev *Snapshot) *Snapshot {
-	return newDeltaSnapshot(backend, opts, res, frontier, ss, aux, prev)
 }
 
 // ApplyDelta reconstructs the full snapshot a delta leg stands for:

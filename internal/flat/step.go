@@ -767,6 +767,16 @@ func (m *machine) dependsOn(j int, a lang.Loc, r, w bool) bool {
 	return false
 }
 
+// boundExceeded reports that some thread ran past the loop bound.
+func (m *machine) boundExceeded() bool {
+	for _, t := range m.threads {
+		if t.bound {
+			return true
+		}
+	}
+	return false
+}
+
 // done reports whether the machine is a completed final state.
 func (m *machine) done() bool {
 	for _, t := range m.threads {

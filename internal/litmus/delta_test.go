@@ -173,7 +173,7 @@ func TestDeltaSnapshotOtherBackends(t *testing.T) {
 // unapplied delta are all refused.
 func TestApplyDeltaErrors(t *testing.T) {
 	tst := CatalogTest("SB")
-	b := machineCkptBackends[0]
+	b := promisingCkpt
 
 	opts := explore.DefaultOptions()
 	opts.Parallelism = 1

@@ -165,9 +165,9 @@ var symRowCells = []struct {
 	n int
 	b ckptBackend
 }{
-	{5, machineCkptBackends[1]}, // naive
-	{5, otherCkptBackends[0]},   // flat
-	{7, machineCkptBackends[0]}, // promising
+	{5, naiveCkpt},
+	{5, flatCkpt},
+	{7, promisingCkpt},
 }
 
 // TestSymmetricRowsReductionsEquivalent extends the reductions on/off

@@ -21,15 +21,16 @@ type ckptBackend struct {
 	resume Resumer
 }
 
-var machineCkptBackends = []ckptBackend{
-	{"promising", explore.PromiseFirst, explore.ResumePromiseFirst},
-	{"naive", explore.Naive, explore.ResumeNaive},
-}
+var (
+	promisingCkpt = ckptBackend{"promising", explore.PromiseFirst, explore.ResumePromiseFirst}
+	naiveCkpt     = ckptBackend{"naive", explore.Naive, explore.ResumeNaive}
+	flatCkpt      = ckptBackend{"flat", flat.Explore, flat.Resume}
+	axiomaticCkpt = ckptBackend{"axiomatic", axiomatic.Explore, axiomatic.Resume}
+)
 
-var otherCkptBackends = []ckptBackend{
-	{"flat", flat.Explore, flat.Resume},
-	{"axiomatic", axiomatic.Explore, axiomatic.Resume},
-}
+var machineCkptBackends = []ckptBackend{promisingCkpt, naiveCkpt}
+
+var otherCkptBackends = []ckptBackend{flatCkpt, axiomaticCkpt}
 
 // runWithCheckpoints drives a test to completion in legs: each leg stops
 // at a cooperative checkpoint roughly every `step` states, round-trips
@@ -104,14 +105,16 @@ func checkCkptEquivalence(t *testing.T, tst *Test, b ckptBackend, rng *rand.Rand
 }
 
 // TestSnapshotResumeEquivalenceCatalog is the round-trip property suite
-// for the machine explorers over the whole catalog, at Parallelism 1 and
-// 2 (the engine drains all worker stacks at a safe point; both the
-// sequential and the work-stealing path must survive it).
+// for the machine explorers and the flat baseline over the whole catalog,
+// at Parallelism 1 and 2 (the engine drains all worker stacks at a safe
+// point; both the sequential and the work-stealing path must survive it,
+// and at Parallelism 2 the interleaving backends race arrivals at the
+// same states).
 func TestSnapshotResumeEquivalenceCatalog(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	multiLeg := 0
 	for _, tst := range Catalog() {
-		for _, b := range machineCkptBackends {
+		for _, b := range []ckptBackend{promisingCkpt, naiveCkpt, flatCkpt} {
 			for _, par := range []int{1, 2} {
 				opts := explore.DefaultOptions()
 				opts.Parallelism = par

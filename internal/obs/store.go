@@ -304,5 +304,9 @@ func writeFileAtomic(path string, val []byte) error {
 		}
 		return cerr
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }

@@ -179,3 +179,27 @@ func TestStoreNilSafe(t *testing.T) {
 		t.Error("nil Len != 0")
 	}
 }
+
+// TestWriteFileAtomicRemovesTempOnRenameFailure renames onto an existing
+// directory, which fails after the temp file is written: the error must
+// surface and no .tmp-* file may be left beside the target.
+func TestWriteFileAtomicRemovesTempOnRenameFailure(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "rec")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(target, "keep"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(target, []byte("body")); err == nil {
+		t.Fatal("renaming onto a non-empty directory succeeded")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("temp files left behind: %v", left)
+	}
+}

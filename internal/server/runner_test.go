@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"promising/internal/backends"
 	"promising/internal/explore"
 	"promising/internal/litmus"
 )
@@ -193,5 +194,38 @@ func TestShardJobRefusesForeignSnapshot(t *testing.T) {
 	st := waitShardJob(t, c, startShardJob(t, c, mediumSrc, widened(t, sbSrc, 3), 0))
 	if st.State != ShardFailed || !strings.Contains(st.Error, "snapshot is for test") {
 		t.Fatalf("shard job against a different test ended %s (%q); want failed with a snapshot-is-for-test error", st.State, st.Error)
+	}
+}
+
+// TestCheckpointedCellCertCache runs one checkpointed cell per backend
+// and captures the options each leg runs with: only naive reads a
+// certification cache, so only its cell may build one (shared by its
+// legs); every backend's cell runs with delta snapshots.
+func TestCheckpointedCellCertCache(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	tst, err := litmus.Parse(sbSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range backends.Names() {
+		var got *explore.Options
+		_, err := s.run(context.Background(), exploration{
+			test: tst, backend: b, opts: CheckOptions{Parallelism: 1},
+			setup: func(eo *explore.Options) { o := *eo; got = &o },
+			every: time.Hour,
+			sink:  func(int, *explore.Snapshot, *explore.Snapshot) error { return nil },
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if got == nil {
+			t.Fatalf("%s: setup never ran", b)
+		}
+		if want := b == backends.Naive; (got.CertCache != nil) != want {
+			t.Errorf("%s: checkpointed cell has a certification cache = %t, want %t", b, got.CertCache != nil, want)
+		}
+		if !got.DeltaSnapshot {
+			t.Errorf("%s: checkpointed cell runs without delta snapshots", b)
+		}
 	}
 }

@@ -536,11 +536,14 @@ func (s *Server) run(ctx context.Context, x exploration) (*litmus.Verdict, error
 	eo.Deadline = time.Now().Add(timeout)
 	eo.Trace, eo.Sampler = x.trace, x.sampler
 	if x.sink != nil {
-		// The certification cache is scoped to this one test, so legs share
-		// it. Resumed legs emit delta checkpoints: the engine exports only
-		// the seen-set entries the leg added (O(new states)), and the full
-		// snapshot is reassembled here from the held base.
-		eo.CertCache = explore.NewSharedCertCache()
+		// Resumed legs emit delta checkpoints: the engine exports only the
+		// seen-set entries the leg added (O(new states)), and the full
+		// snapshot is reassembled here from the held base. Naive is the
+		// only backend that reads a certification cache; its cache is
+		// scoped to this one test, so legs share it.
+		if x.backend == backends.Naive {
+			eo.CertCache = explore.NewSharedCertCache()
+		}
 		eo.DeltaSnapshot = true
 	}
 	if x.setup != nil {
