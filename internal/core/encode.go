@@ -10,21 +10,8 @@ import (
 // and certification memoises on them; everything observable about a state
 // must be included, in a deterministic order.
 
-// FNV-1a constants.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// Hash64 returns the FNV-1a hash of b.
-func Hash64(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
+// fnvPrime64 is the 64-bit FNV prime, a multiplier for mixing hashes.
+const fnvPrime64 = 1099511628211
 
 // encPool recycles encode buffers: state encoding is the hottest allocation
 // site of the explorers, and the buffers are same-sized and short-lived.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -12,9 +13,12 @@ import (
 // starts life as a canonical byte encoding (encode.go). Interning maps each
 // distinct encoding to a dense 64-bit Handle exactly once, so the byte
 // string is copied and hashed into a map a single time per exploration
-// instead of once per lookup site, and every downstream table (the engine's
-// seen set, the certification cache, per-thread completion memos) keys on
-// 8-byte handles instead of variable-length strings.
+// instead of once per lookup site, and every downstream table (the
+// certification cache, per-thread completion memos) keys on 8-byte handles
+// instead of variable-length strings. The engine's seen set is an Interner
+// itself, and the interleaving driver's per-state family claims live in
+// its entries (Claim), so interning and claiming a state is one lookup
+// under one lock.
 
 // Handle is a dense 64-bit identifier for an interned encoding. Handles
 // are assigned from 1 in first-sight order; 0 is never issued, so it can
@@ -28,36 +32,64 @@ type Handle uint64
 const internShards = 64
 
 // Interner is a sharded, concurrency-safe map from canonical encodings to
-// dense handles. The zero value is not usable; call NewInterner.
+// dense handles. Each entry also carries a claim word (Claim), so a run
+// that claims work per state keeps one table, not two. The zero value is
+// not usable; call NewInterner.
 type Interner struct {
 	next   atomic.Uint64
+	seed   maphash.Seed
 	shards [internShards]internShard
 }
 
 type internShard struct {
 	mu sync.Mutex
-	m  map[string]Handle
+	// m maps each encoding to its entry's index in log.
+	m map[string]int32
 	// log records insertions in shard-local order. Handles are assigned
 	// under the shard lock, so within one shard the logged handles are
 	// strictly increasing — which is what lets ExportSince walk each log
 	// backwards and stop at the cursor instead of scanning the whole map.
 	// The strings share backing bytes with the map keys, so the log costs
-	// one slice header per entry, not a second copy of the encoding.
+	// one entry per state, not a second copy of the encoding.
 	log []internEntry
 }
 
 type internEntry struct {
 	h Handle
 	k string
+	// claim is the entry's claim word: the families claimed so far (bits
+	// 0-29) and claimedBit once any Claim reached the entry.
+	claim uint32
 }
+
+// claimedBit marks an entry that some Claim has reached, which is what
+// lets Claim report the first claim even when its want is empty or the
+// entry was interned by Intern (an imported snapshot state).
+const claimedBit = 1 << 31
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	in := &Interner{}
+	in := &Interner{seed: maphash.MakeSeed()}
 	for i := range in.shards {
-		in.shards[i].m = make(map[string]Handle)
+		in.shards[i].m = make(map[string]int32)
 	}
 	return in
+}
+
+// lookup locks b's shard and returns it with b's entry, inserting the
+// entry under the next dense handle when the bytes are new (fresh). The
+// caller unlocks the shard; the bytes are copied on insertion.
+func (in *Interner) lookup(b []byte) (sh *internShard, e *internEntry, fresh bool) {
+	sh = &in.shards[maphash.Bytes(in.seed, b)&(internShards-1)]
+	sh.mu.Lock()
+	i, ok := sh.m[string(b)]
+	if !ok {
+		i = int32(len(sh.log))
+		k := string(b)
+		sh.m[k] = i
+		sh.log = append(sh.log, internEntry{h: Handle(in.next.Add(1)), k: k})
+	}
+	return sh, &sh.log[i], !ok
 }
 
 // Intern returns the handle of b, assigning the next dense handle when the
@@ -65,18 +97,24 @@ func NewInterner() *Interner {
 // (exactly one caller wins any race on the same bytes), and the bytes are
 // copied on insertion, so callers may recycle b (see GetEncBuf/PutEncBuf).
 func (in *Interner) Intern(b []byte) (h Handle, fresh bool) {
-	sh := &in.shards[Hash64(b)&(internShards-1)]
-	sh.mu.Lock()
-	if h, ok := sh.m[string(b)]; ok {
-		sh.mu.Unlock()
-		return h, false
-	}
-	h = Handle(in.next.Add(1))
-	k := string(b)
-	sh.m[k] = h
-	sh.log = append(sh.log, internEntry{h: h, k: k})
+	sh, e, fresh := in.lookup(b)
+	h = e.h
 	sh.mu.Unlock()
-	return h, true
+	return h, fresh
+}
+
+// Claim interns b like Intern and, in the same critical section, claims
+// the families in want (at most bits 0-29) there. It returns the handle,
+// newly — the part of want no earlier Claim on b took — and first, which
+// reports the first Claim on b since it was interned. Concurrent Claims on
+// one key therefore see one handle, exactly one first, and disjoint newly
+// sets whose union is the union of their wants.
+func (in *Interner) Claim(b []byte, want uint32) (h Handle, newly uint32, first bool) {
+	sh, e, _ := in.lookup(b)
+	h, newly, first = e.h, want&^e.claim, e.claim&claimedBit == 0
+	e.claim |= want | claimedBit
+	sh.mu.Unlock()
+	return h, newly, first
 }
 
 // Len returns the number of distinct encodings interned so far.
@@ -87,18 +125,7 @@ func (in *Interner) Len() int { return int(in.next.Load()) }
 // byte strings); handles are deliberately not exported, because nothing
 // may depend on handle values across interner lifetimes. Export must not
 // race with Intern calls that the caller wants included.
-func (in *Interner) Export() [][]byte {
-	out := make([][]byte, 0, in.Len())
-	for i := range in.shards {
-		sh := &in.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			out = append(out, []byte(k))
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
+func (in *Interner) Export() [][]byte { return in.ExportSince(0) }
 
 // ExportSince returns a copy of every encoding interned after the first
 // cursor insertions — the high-water-cursor form of Export that makes
@@ -106,10 +133,8 @@ func (in *Interner) Export() [][]byte {
 // value observed earlier; ExportSince(0) is Export. The order is
 // unspecified, like Export's, and the same no-racing caveat applies.
 func (in *Interner) ExportSince(cursor int) [][]byte {
-	if cursor <= 0 {
-		return in.Export()
-	}
-	var out [][]byte
+	cursor = max(cursor, 0)
+	out := make([][]byte, 0, max(in.Len()-cursor, 0))
 	for i := range in.shards {
 		sh := &in.shards[i]
 		sh.mu.Lock()

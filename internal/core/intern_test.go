@@ -70,6 +70,115 @@ func TestInternerConcurrent(t *testing.T) {
 	}
 }
 
+// TestInternerClaimConcurrent races Claim from several goroutines over
+// shared keys, with overlapping want masks, and keys only one goroutine
+// claims. Per key there must be one handle and exactly one first claim,
+// and the newly claimed sets must be disjoint and add up to the union of
+// the wants: every family is claimed once, by exactly one caller.
+func TestInternerClaimConcurrent(t *testing.T) {
+	in := NewInterner()
+	const workers = 6
+	const shared = 300
+	const own = 50
+	type claim struct {
+		h     Handle
+		newly uint32
+		first bool
+	}
+	// Worker w wants families w and w+1 in its first claim on a key and
+	// families w+2 and w+3 in its second, so neighbours' wants overlap.
+	wants := func(w int) [2]uint32 { return [2]uint32{0b11 << w, 0b11 << (w + 2)} }
+	keys := func(w int) []string {
+		var ks []string
+		for i := 0; i < shared; i++ {
+			k := i
+			if w%2 == 1 {
+				k = shared - 1 - i
+			}
+			ks = append(ks, fmt.Sprintf("shared-%d", k))
+			if i < own {
+				ks = append(ks, fmt.Sprintf("own-%d-%d", w, i))
+			}
+		}
+		return ks
+	}
+	got := make([]map[string][]claim, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make(map[string][]claim)
+			for _, want := range wants(w) {
+				for _, k := range keys(w) {
+					h, newly, first := in.Claim([]byte(k), want)
+					got[w][k] = append(got[w][k], claim{h, newly, first})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	type tally struct {
+		h            Handle
+		firsts       int
+		newly, wants uint32
+	}
+	per := map[string]*tally{}
+	for w := 0; w < workers; w++ {
+		ws := wants(w)
+		for k, cs := range got[w] {
+			tl := per[k]
+			if tl == nil {
+				tl = &tally{h: cs[0].h}
+				per[k] = tl
+			}
+			for i, c := range cs {
+				if c.h != tl.h {
+					t.Fatalf("key %s: handles %d and %d", k, c.h, tl.h)
+				}
+				if c.first {
+					tl.firsts++
+				}
+				if c.newly&^ws[i] != 0 {
+					t.Fatalf("key %s: worker %d claimed %b outside its want %b", k, w, c.newly, ws[i])
+				}
+				if c.newly&tl.newly != 0 {
+					t.Fatalf("key %s: families %b claimed twice", k, c.newly&tl.newly)
+				}
+				tl.newly |= c.newly
+				tl.wants |= ws[i]
+			}
+		}
+	}
+	if len(per) != shared+workers*own || in.Len() != len(per) {
+		t.Fatalf("%d keys claimed, Len() = %d; want %d", len(per), in.Len(), shared+workers*own)
+	}
+	handles := map[Handle]string{}
+	for k, tl := range per {
+		if tl.firsts != 1 {
+			t.Errorf("key %s: %d first claims, want 1", k, tl.firsts)
+		}
+		if tl.newly != tl.wants {
+			t.Errorf("key %s: claimed %b in all, want the union of the wants %b", k, tl.newly, tl.wants)
+		}
+		if o, dup := handles[tl.h]; dup {
+			t.Errorf("keys %s and %s share handle %d", k, o, tl.h)
+		}
+		handles[tl.h] = k
+	}
+
+	// An interned key is unclaimed: its first Claim reports first, also
+	// with an empty want, and a second Claim does not.
+	h, _ := in.Intern([]byte("interned"))
+	if h2, newly, first := in.Claim([]byte("interned"), 0); h2 != h || newly != 0 || !first {
+		t.Errorf("first Claim on an interned key: handle %d (want %d), newly %b, first %v", h2, h, newly, first)
+	}
+	if _, _, first := in.Claim([]byte("interned"), 0b1); first {
+		t.Error("second Claim on an interned key reported first")
+	}
+}
+
 // TestInternerExportSince checks the delta-export cursor: ExportSince(n)
 // returns exactly the encodings interned after a Len() = n observation,
 // even when the inserts raced across goroutines, and an export taken at

@@ -35,8 +35,10 @@ import (
 // seenSet is a concurrent set of canonical state encodings backed by a
 // core.Interner: adding a state interns its encoding, so the set's keys
 // are dense 64-bit handles, each distinct encoding is copied exactly once
-// per run, and the handle identifies the state to any other per-run table
+// per run, and the handle identifies the state to the remote dedup hook
 // (sharding inside the interner keeps parallel workers off one lock).
+// Under independence pruning each entry also holds the state's family
+// claims (Arrive), so the set is the run's only per-state table.
 type seenSet struct {
 	in *core.Interner
 	// base is the import high-water cursor: the set size right after
@@ -54,6 +56,20 @@ func newSeenSet() *seenSet { return &seenSet{in: core.NewInterner()} }
 // on the same encoding. The bytes are copied on first sight, so the caller
 // may recycle b (core.GetEncBuf/PutEncBuf).
 func (s *seenSet) Add(b []byte) (core.Handle, bool) { return s.in.Intern(b) }
+
+// Arrive records one arrival at a state under independence pruning: it
+// adds the encoded state and claims the families in want (canonical
+// frame) there, atomically. It returns the state's handle, the newly
+// claimed families — each family is claimed once per state per leg, which
+// keeps re-arrivals with different sleep sets from re-expanding covered
+// families — and whether this arrival counts the state: the first claim
+// on a state new to this leg (its handle lies past the imported set).
+// Claims start empty in each leg, so an earlier leg's state can be claimed
+// again but is counted by nobody.
+func (s *seenSet) Arrive(b []byte, want uint32) (h core.Handle, newly uint32, count bool) {
+	h, newly, first := s.in.Claim(b, want)
+	return h, newly, first && int(h) > s.base
+}
 
 // Len returns the number of states in the set.
 func (s *seenSet) Len() int { return s.in.Len() }

@@ -16,11 +16,11 @@ import (
 //
 //   - deduplication on the (thread-symmetry canonical) key through the
 //     run's seen set, and independence pruning through sleep sets and the
-//     claim table (reduce.go);
+//     per-state family claims the seen set holds (reduce.go);
 //   - cross-shard deduplication through Options.Remote;
 //   - checkpoint/resume: frontier entries travel as the backend's
 //     encoding plus an aux word, and resumed legs re-import the seen set
-//     and pre-claim their entries' families;
+//     and pre-claim their entries' families in it;
 //   - witness collection, which forces reductions off and refuses
 //     checkpoints (label traces do not survive a snapshot;
 //     Result.CheckpointRefused reports the refusal);
@@ -72,11 +72,11 @@ type ivEntry[M, L any] struct {
 	// sleep is the arrival sleep set: thread families whose every step
 	// from this state is covered by a sibling ordering (reduce.go).
 	sleep uint32
-	// todo is the set of families this entry expands: the newly claimed
-	// bits from the canonical state's claim table.
+	// todo is the set of families this entry expands: the families newly
+	// claimed in the canonical state's seen-set entry.
 	todo uint32
-	// ctodo is todo in the canonical frame (AllFamilies without a claim
-	// table), compared against Options.Remote's late denial verdicts at
+	// ctodo is todo in the canonical frame (AllFamilies without pruning),
+	// compared against Options.Remote's late denial verdicts at
 	// process time: the entry drops only when every family it would
 	// expand was granted to another shard's attempt.
 	ctodo uint32
@@ -96,10 +96,12 @@ type ivRun[M, L any] struct {
 	nThreads int
 	seen     *seenSet
 	sym      *Symmetry
-	claims   *claimTable
-	allMask  uint32
-	symHits  atomic.Int64
-	pruned   atomic.Int64
+	// claims reports independence pruning: arrivals claim families in
+	// the seen set (seenSet.Arrive) instead of just adding the state.
+	claims  bool
+	allMask uint32
+	symHits atomic.Int64
+	pruned  atomic.Int64
 }
 
 // ivWorker is one engine worker's expansion scratch, kept in its
@@ -131,7 +133,7 @@ func (iv *Interleaving[M, L]) Run(cp *lang.CompiledProgram, spec *ObsSpec, opts 
 		r.sym = NewSymmetry(cp, spec)
 	}
 	if opts.Reductions.Pruning() && !opts.CollectWitnesses && r.nThreads <= MaxReductionThreads {
-		r.claims = newClaimTable()
+		r.claims = true
 		r.allMask = uint32(1)<<r.nThreads - 1
 	}
 	ccStart := iv.Certs.Stats()
@@ -140,12 +142,8 @@ func (iv *Interleaving[M, L]) Run(cp *lang.CompiledProgram, spec *ObsSpec, opts 
 	visited := 0
 	if snap == nil {
 		m0 := iv.Init()
-		h, _, order, _, _, _ := r.addState(m0, false, 0)
-		root := ivEntry[M, L]{m: m0, fresh: true}
-		if r.claims != nil {
-			root.todo = concreteMask(r.claims.Claim(h, CanonMask(r.allMask, order)), order)
-		}
-		roots = append(roots, root)
+		_, _, todo, _, _ := r.addState(m0, false, r.allMask)
+		roots = append(roots, ivEntry[M, L]{m: m0, todo: todo, fresh: true})
 	} else {
 		r.seen.Import(snap.Seen)
 		useAux := len(snap.FrontierAux) == len(snap.Frontier)
@@ -158,15 +156,14 @@ func (iv *Interleaving[M, L]) Run(cp *lang.CompiledProgram, spec *ObsSpec, opts 
 			if useAux {
 				e.sleep, e.todo, e.fresh = unpackAux(snap.FrontierAux[i])
 			}
-			if r.claims != nil {
-				// Pre-claim the entry's families (the claim table does not
-				// survive a snapshot) so this leg's re-arrivals at the same
-				// state do not re-expand them.
-				h, _, order, _, _, _ := r.addState(m, false, 0)
+			if r.claims {
+				// Pre-claim the entry's families (claims do not survive a
+				// snapshot) so this leg's re-arrivals at the same state do
+				// not re-expand them.
 				if !useAux {
 					e.todo = r.allMask
 				}
-				r.claims.Claim(h, CanonMask(e.todo, order))
+				r.addState(m, false, e.todo)
 			}
 			roots = append(roots, e)
 		}
@@ -195,7 +192,7 @@ func (iv *Interleaving[M, L]) Run(cp *lang.CompiledProgram, spec *ObsSpec, opts 
 	if len(pending) > 0 {
 		frontier := make([][]byte, len(pending))
 		var aux []uint64
-		if r.claims != nil {
+		if r.claims {
 			aux = make([]uint64, len(pending))
 		}
 		for i, e := range pending {
@@ -217,40 +214,40 @@ func (iv *Interleaving[M, L]) Run(cp *lang.CompiledProgram, spec *ObsSpec, opts 
 }
 
 // addState interns m's canonical key and returns its handle, whether this
-// arrival counts the state (decided by the claim when claims are kept,
-// see claimTable.Arrive) and the canonicalizing thread order (nil =
-// identity). For child states (successors, as opposed to roots, which are
-// never remote-deduplicated) it additionally claims the arrival's awake
-// families in the local claim table, reports the newly claimed set to the
-// remote dedup hook — which may deny families another shard's attempt
-// was already granted — and returns the remaining to-expand set in
-// concrete (todo) and canonical (ctodo) form, plus whether the child is
-// dropped instead of pushed (nothing left to expand here).
-func (r *ivRun[M, L]) addState(m M, child bool, sleep uint32) (h core.Handle, fresh bool, order []int, todo, ctodo uint32, drop bool) {
+// arrival counts the state and the families left to expand there, in
+// concrete (todo) and canonical (ctodo) form. Under pruning the arrival
+// claims the families in want (concrete) in the state's seen-set entry
+// and is counted by the first claim (seenSet.Arrive); without, ctodo is
+// AllFamilies and the arrival that adds the state counts it. For child
+// states (as opposed to roots, which are never remote-deduplicated) the
+// remote dedup hook then sees the arrival and may deny families another
+// shard's attempt was already granted; drop reports that nothing is left
+// to expand, so the child is not pushed.
+func (r *ivRun[M, L]) addState(m M, child bool, want uint32) (h core.Handle, count bool, todo, ctodo uint32, drop bool) {
 	b, order, hit := r.iv.Key(core.GetEncBuf(), m, r.sym)
 	if hit {
 		r.symHits.Add(1)
 	}
 	remote := r.opts.Remote
-	switch {
-	case child && r.claims != nil:
+	if !child {
+		remote = nil
+	}
+	if r.claims {
 		// Claim locally before consulting the remote hook: families the
-		// remote denies stay claimed in the local table — their expansion
-		// is delegated to the live attempt that was granted them (see the
-		// server package's claim protocol), so later local re-arrivals
-		// must not re-claim them either.
-		h, ctodo, fresh = r.claims.Arrive(r.seen, b, CanonMask(r.allMask&^sleep, order))
+		// remote denies stay claimed locally — their expansion is delegated
+		// to the live attempt that was granted them (see the server
+		// package's claim protocol), so later local re-arrivals must not
+		// re-claim them either.
+		h, ctodo, count = r.seen.Arrive(b, CanonMask(want, order))
 		if ctodo != 0 && remote != nil {
 			ctodo &^= remote.Discovered(b, h, ctodo)
 		}
 		todo = concreteMask(ctodo, order)
 		drop = todo == 0
-	case child:
-		h, fresh = r.seen.Add(b)
+	} else {
+		h, count = r.seen.Add(b)
 		ctodo = AllFamilies
-		drop = !fresh || remote != nil && remote.Discovered(b, h, AllFamilies) == AllFamilies
-	default:
-		h, fresh = r.seen.Add(b)
+		drop = !count || remote != nil && remote.Discovered(b, h, AllFamilies) == AllFamilies
 	}
 	core.PutEncBuf(b)
 	return
@@ -304,14 +301,14 @@ func (r *ivRun[M, L]) process(e ivEntry[M, L], c *Ctx[ivEntry[M, L]]) {
 	anySucc := false
 	for tid := 0; tid < r.nThreads; tid++ {
 		bit := uint32(1) << tid
-		if r.claims != nil && e.todo&bit == 0 {
+		if r.claims && e.todo&bit == 0 {
 			if e.sleep&bit != 0 {
 				r.pruned.Add(1)
 			}
 			continue
 		}
 		w.cand, w.had = 0, false
-		if r.claims != nil {
+		if r.claims {
 			w.cand = (e.sleep | sleepable) &^ bit
 		}
 		if iv.Successors(e.m, tid, w.cand, w.emit) && w.had {
@@ -334,7 +331,7 @@ func (w *ivWorker[M, L]) child(m M, label L, wake uint32) {
 	w.had = true
 	r := w.r
 	sleep := w.cand &^ wake
-	h, fresh, _, todo, ctodo, drop := r.addState(m, true, sleep)
+	h, fresh, todo, ctodo, drop := r.addState(m, true, r.allMask&^sleep)
 	if drop {
 		return
 	}

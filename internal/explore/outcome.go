@@ -190,14 +190,14 @@ type Options struct {
 // successor) expands it. Whole-state claims would instead delegate to a
 // claimant that may have slept the family at every one of its arrivals
 // and never expands it: the sleep-set "ignoring problem" re-introduced
-// across shards. Backends without a claim table pass AllFamilies,
-// degenerating to first-claimant-wins per state.
+// across shards. Runs without per-family claims (no pruning) pass
+// AllFamilies, degenerating to first-claimant-wins per state.
 type RemoteSeen interface {
 	// Discovered reports the families newly claimed at a locally
 	// discovered state: key is the state's canonical encoding (valid
 	// only for the duration of the call — copy to retain), h its handle
 	// in the local seen-set, mask the canonical family set this arrival
-	// claimed (AllFamilies when the run has no claim table). It returns
+	// claimed (AllFamilies when the run does not prune). It returns
 	// the subset of mask already granted to another live attempt: the
 	// caller must not expand those families here (their claimants do),
 	// and drops the state entirely when nothing of mask remains.
@@ -211,8 +211,8 @@ type RemoteSeen interface {
 	ShouldDrop(h core.Handle, mask uint32) bool
 }
 
-// AllFamilies is the Discovered/ShouldDrop mask of a backend without a
-// claim table: the whole state is claimed as one unit.
+// AllFamilies is the Discovered/ShouldDrop mask of a run without
+// per-family claims: the whole state is claimed as one unit.
 const AllFamilies = ^uint32(0)
 
 // DefaultOptions returns the standard configuration (certification on).

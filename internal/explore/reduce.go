@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 
 	"promising/internal/core"
 	"promising/internal/lang"
@@ -51,8 +50,8 @@ import (
 // canonical one (an isomorphism), so a family claimed at canonical slot
 // k means the same expansion from every orbit member, and swapping tied
 // members is an automorphism of the canonical state. That keeps the
-// per-family claims of claimTable and of the cluster's cross-shard claim
-// protocol comparable across the representatives of one orbit.
+// per-family claims in the seen set and in the cluster's cross-shard
+// claim protocol comparable across the representatives of one orbit.
 //
 // Independence pruning (sleep sets, Godefroid): when the step taken at a
 // state commutes with every step of some other thread family, exploring
@@ -62,9 +61,10 @@ import (
 // families known to be exhaustively covered by a sibling ordering; slept
 // families are not expanded. The driver keeps the sleep sets and claims;
 // each backend's successor hook supplies only its dependence relation,
-// as the candidate families each step wakes. A per-canonical-state claim
-// table records which families have ever been expanded there, so
-// re-arrivals expand only newly awake families. Sleep sets prune
+// as the candidate families each step wakes. Each canonical state's
+// seen-set entry (seenSet.Arrive) records, in the canonical frame, which
+// families have been claimed for expansion there, so re-arrivals at any
+// orbit representative expand only newly awake families. Sleep sets prune
 // transitions, never states: every reachable state is still visited, so
 // States/DeadEnds and the outcome set are identical with pruning on or
 // off.
@@ -422,76 +422,6 @@ func concreteMask(mask uint32, order []int) uint32 {
 		}
 	}
 	return out
-}
-
-// claimTable records, per canonical state handle, the set of thread
-// families ever claimed for expansion there (in the canonical frame, so
-// arrivals at different orbit representatives share one entry — sound
-// because the representatives are isomorphic states and outcomes are
-// permutation-closed at the end). Claims are monotone: each family is
-// expanded at most once per state over the whole run, which is what keeps
-// re-arrivals with different sleep sets from re-expanding covered
-// families. Sharded like the interner for parallel workers.
-type claimTable struct {
-	shards [claimShards]claimShard
-}
-
-const claimShards = 64
-
-type claimShard struct {
-	mu sync.Mutex
-	m  map[core.Handle]uint32
-}
-
-// newClaimTable returns an empty claim table.
-func newClaimTable() *claimTable {
-	t := &claimTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[core.Handle]uint32)
-	}
-	return t
-}
-
-// Claim atomically claims the families in want at state h and returns the
-// subset not previously claimed (the caller expands exactly those).
-func (t *claimTable) Claim(h core.Handle, want uint32) uint32 {
-	newly, _ := t.claim(h, want)
-	return newly
-}
-
-// claim is Claim that also reports whether it was the first claim on h.
-func (t *claimTable) claim(h core.Handle, want uint32) (newly uint32, first bool) {
-	s := &t.shards[uint64(h)%claimShards]
-	s.mu.Lock()
-	got, seen := s.m[h]
-	newly = want &^ got
-	if !seen || newly != 0 {
-		s.m[h] = got | newly
-	}
-	s.mu.Unlock()
-	return newly, !seen
-}
-
-// arriveHook, when non-nil, runs inside Arrive between the seen-set insert
-// and the claim. Tests set it to interleave a second arrival there.
-var arriveHook func()
-
-// Arrive records one arrival at a child state: it interns the state's key
-// b in seen and claims the families in want there. It returns the state's
-// handle, the newly claimed families and whether this arrival counts the
-// state. The count is decided under the claim's lock, not by seen's
-// freshness: the first claim on a state that is new to this leg (its
-// handle lies past the imported seen set) counts it. Two arrivals can
-// interleave their insert and claim, so the arrival that inserted the
-// state first may find every family claimed by the other and be dropped;
-// the count must then go with the arrival that expands the state.
-func (t *claimTable) Arrive(seen *seenSet, b []byte, want uint32) (h core.Handle, newly uint32, count bool) {
-	h, _ = seen.Add(b)
-	if arriveHook != nil {
-		arriveHook()
-	}
-	newly, first := t.claim(h, want)
-	return h, newly, first && int(h) > seen.Base()
 }
 
 // Frontier aux words carry a pending entry's reduction state across a

@@ -396,40 +396,37 @@ func TestCloseOutcomesMatchesAllPermutations(t *testing.T) {
 	}
 }
 
-// TestArriveCountsTheExpandedArrival forces the interleaving that could
-// leave a state uncounted at Parallelism > 1: arrival A inserts the state
-// first, arrival B then inserts it and claims every family, and only then
-// does A claim — finding nothing left, so A is dropped. Exactly one
-// arrival must count the state, and it must be B, the one expanded.
+// TestArriveCountsTheExpandedArrival pins how seenSet.Arrive counts a
+// state: the first arrival claims its families and counts it, a later
+// arrival claims only what is left and never counts it again — even when
+// it is the one that expands the state. Insert and claim are one critical
+// section, so no arrival can add a state and find it claimed by another.
 func TestArriveCountsTheExpandedArrival(t *testing.T) {
-	type arrival struct {
-		newly uint32
-		count bool
-	}
-	seen, claims := newSeenSet(), newClaimTable()
+	seen := newSeenSet()
 	key := []byte("state")
-	var a, b arrival
-	arriveHook = func() {
-		arriveHook = nil
-		_, b.newly, b.count = claims.Arrive(seen, key, 0b11)
+	h, newly, count := seen.Arrive(key, 0b01)
+	if newly != 0b01 || !count {
+		t.Fatalf("first arrival: claimed %b, count %v; want 1, true", newly, count)
 	}
-	defer func() { arriveHook = nil }()
-	_, a.newly, a.count = claims.Arrive(seen, key, 0b01)
-	if a.newly != 0 || b.newly != 0b11 {
-		t.Fatalf("interleaving not forced: A claimed %b, B claimed %b", a.newly, b.newly)
+	h2, newly, count := seen.Arrive(key, 0b11)
+	if h2 != h || newly != 0b10 || count {
+		t.Errorf("second arrival: handle %d (first %d), claimed %b, count %v; want same handle, 10, false", h2, h, newly, count)
 	}
-	if a.count || !b.count {
-		t.Errorf("count went to A (dropped) = %v, B (expanded) = %v; want B only", a.count, b.count)
+	if _, newly, count := seen.Arrive(key, 0b11); newly != 0 || count {
+		t.Errorf("third arrival: claimed %b, count %v; want 0, false", newly, count)
 	}
-	if _, _, count := claims.Arrive(seen, key, 0b11); count {
-		t.Error("a later arrival counted the state again")
+	if _, fresh := seen.Add(key); fresh || seen.Len() != 1 {
+		t.Errorf("Add after Arrive: fresh %v, Len %d; want false, 1", fresh, seen.Len())
 	}
 
 	// After a resume, a state of an earlier leg is counted by nobody, even
-	// though this leg's claim table has never seen it.
+	// though this leg has never claimed it.
 	resumed := newSeenSet()
 	resumed.Import([][]byte{key})
-	if _, newly, count := newClaimTable().Arrive(resumed, key, 0b01); newly != 0b01 || count {
+	if _, newly, count := resumed.Arrive(key, 0b01); newly != 0b01 || count {
 		t.Errorf("resumed leg: claimed %b, count %v; want 1, false", newly, count)
+	}
+	if _, newly, count := resumed.Arrive([]byte("new"), 0b01); newly != 0b01 || !count {
+		t.Errorf("resumed leg, new state: claimed %b, count %v; want 1, true", newly, count)
 	}
 }

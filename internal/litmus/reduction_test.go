@@ -293,7 +293,7 @@ func TestSymmetricReductionShrinksStateSpace(t *testing.T) {
 }
 
 // TestConcurrentCanonicalization stresses the shared canonicalization
-// paths — the interner-backed seen set, the claim table and the
+// paths — the interner-backed seen set with its per-state claims and the
 // sort-based symmetry canonical form — with many workers hammering one
 // exploration. Run under -race this is the concurrency certification for
 // the reduction layer; in any mode it checks parallel reduced runs stay

@@ -132,7 +132,8 @@ func TestSnapshotResumeEquivalenceCatalog(t *testing.T) {
 }
 
 // TestSnapshotResumeEquivalenceOtherBackends extends the suite to the
-// flat and axiomatic backends on the litmus-scale subset.
+// axiomatic backend on the litmus-scale subset (flat runs the whole
+// catalog in TestSnapshotResumeEquivalenceCatalog).
 func TestSnapshotResumeEquivalenceOtherBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	multiLeg := 0
@@ -141,17 +142,17 @@ func TestSnapshotResumeEquivalenceOtherBackends(t *testing.T) {
 		if tst == nil {
 			t.Fatalf("catalog test %q missing", name)
 		}
-		for _, b := range otherCkptBackends {
-			for _, par := range []int{1, 2} {
-				opts := explore.DefaultOptions()
-				opts.Parallelism = par
-				if checkCkptEquivalence(t, tst, b, rng, opts, opts) > 1 {
-					multiLeg++
-				}
+		for _, par := range []int{1, 2} {
+			opts := explore.DefaultOptions()
+			opts.Parallelism = par
+			if checkCkptEquivalence(t, tst, axiomaticCkpt, rng, opts, opts) > 1 {
+				multiLeg++
 			}
 		}
 	}
-	if multiLeg < 5 {
+	// Every one of the ten runs checkpoints: the random step is at most a
+	// third of the states plus two.
+	if multiLeg < 10 {
 		t.Errorf("only %d runs actually checkpointed and resumed", multiLeg)
 	}
 }

@@ -234,7 +234,7 @@ type ShardState struct {
 // the family awake while no live attempt expands it. An attempt skips a
 // family only against a *grant* to another attempt, and a grant is
 // issued only to an attempt that requested the family because it was
-// awake — newly claimed in its local claim table — at one of its own
+// awake — newly claimed in its local seen set — at one of its own
 // arrivals. The grantee therefore holds a frontier entry expanding
 // exactly that family (its own grant is never denied back to it), and
 // either expands it or leaves it, todo mask included, in its
