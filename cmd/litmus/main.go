@@ -25,6 +25,7 @@ import (
 	"promising/internal/explore"
 	"promising/internal/lang"
 	"promising/internal/litmus"
+	"promising/internal/store"
 )
 
 func main() {
@@ -149,7 +150,7 @@ func runCheckpoint(testName, backendList, file string, after int, timeout time.D
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(file, raw, 0o644); err != nil {
+	if err := store.WriteFile(file, raw, 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("checkpointed %s/%s after %d states (%d pending, %d outcomes so far) -> %s\n",
@@ -197,7 +198,7 @@ func runResume(file, ckptFile string, after int, timeout time.Duration, par int)
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(ckptFile, raw, 0o644); err != nil {
+		if err := store.WriteFile(ckptFile, raw, 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("re-checkpointed %s/%s at %d states (%d pending) -> %s\n",

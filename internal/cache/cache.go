@@ -13,15 +13,18 @@ import (
 	"path/filepath"
 	"regexp"
 	"sync"
+
+	"promising/internal/store"
 )
 
 // Cache is an LRU of key → serialized value. The zero value is not usable;
 // call New.
 //
 // When a persistence directory is configured, Put writes each entry
-// through to disk (atomically, via rename) and Get falls back to disk on a
-// memory miss, promoting hits back into memory. Eviction only trims the
-// in-memory index; the disk copy survives restarts.
+// through to disk (store.WriteFile: fsynced, atomic rename) and Get falls
+// back to disk on a memory miss, promoting hits back into memory.
+// Eviction only trims the in-memory index; the disk copy survives
+// restarts.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -157,25 +160,8 @@ func (c *Cache) loadDisk(key string) ([]byte, bool) {
 }
 
 func (c *Cache) storeDisk(key string, val []byte) {
-	p, ok := c.path(key)
-	if !ok {
-		return
-	}
-	dir := filepath.Dir(p)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(val)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if os.Rename(tmp.Name(), p) != nil {
-		os.Remove(tmp.Name())
+	if p, ok := c.path(key); ok {
+		// Best effort: a failed write only costs a later miss.
+		_ = store.WriteFile(p, val, 0o600)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // lbProgram is the load-buffering shape used throughout these tests.
-func lbProgram(t *testing.T) *lang.CompiledProgram {
+func lbProgram(t testing.TB) *lang.CompiledProgram {
 	t.Helper()
 	const x, y = lang.Loc(8), lang.Loc(16)
 	p := &lang.Program{

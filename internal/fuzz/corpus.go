@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"promising/internal/litmus"
+	"promising/internal/store"
 )
 
 // The corpus is the campaign's persistent memory: every interesting test —
@@ -247,8 +248,8 @@ func (c *Corpus) Len() int {
 }
 
 // Entries snapshots the corpus in insertion order. Entries are shallow
-// copies: concurrent UpdateMeta calls replace metadata fields wholesale
-// (never mutate shared maps in place), so a snapshot stays consistent.
+// copies; an entry is never changed after Add, so a snapshot stays
+// consistent.
 func (c *Corpus) Entries() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -284,25 +285,11 @@ func (c *Corpus) Add(src string, meta Meta) (Entry, bool, error) {
 	e := &Entry{Hash: hash, Source: src, Meta: meta}
 	c.byHash[hash] = e
 	c.order = append(c.order, hash)
-	// Persisting under the lock serialises sidecar writes with concurrent
-	// UpdateMeta calls; corpus admissions are rare relative to iterations,
-	// so the held IO does not bottleneck workers.
-	err := c.persist(e)
 	out := *e
 	c.mu.Unlock()
-	return out, true, err
-}
-
-// UpdateMeta applies fn to the entry's metadata and re-persists it.
-func (c *Corpus) UpdateMeta(hash string, fn func(*Meta)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byHash[hash]
-	if !ok {
-		return fmt.Errorf("fuzz: no corpus entry %s", hash)
-	}
-	fn(&e.Meta)
-	return c.persist(e)
+	// The entry never changes after Add, so its files are written outside
+	// the lock: their fsyncs do not stall workers picking from the corpus.
+	return out, true, c.persist(&out)
 }
 
 // Pick returns a snapshot of a pseudo-random entry (ok == false when the
@@ -320,46 +307,15 @@ func (c *Corpus) persist(e *Entry) error {
 	if c.dir == "" {
 		return nil
 	}
-	if err := writeAtomic(filepath.Join(c.dir, e.Hash+".litmus"), []byte(e.Source)); err != nil {
+	if err := store.WriteFile(filepath.Join(c.dir, e.Hash+".litmus"), []byte(e.Source), 0o644); err != nil {
 		return fmt.Errorf("fuzz: persist %s: %w", e.Hash, err)
 	}
 	raw, err := json.MarshalIndent(e.Meta, "", "  ")
 	if err != nil {
 		return fmt.Errorf("fuzz: persist %s: %w", e.Hash, err)
 	}
-	if err := writeAtomic(filepath.Join(c.dir, e.Hash+".json"), append(raw, '\n')); err != nil {
+	if err := store.WriteFile(filepath.Join(c.dir, e.Hash+".json"), append(raw, '\n'), 0o644); err != nil {
 		return fmt.Errorf("fuzz: persist %s: %w", e.Hash, err)
-	}
-	return nil
-}
-
-// writeAtomic writes via temp file + rename, so a crash mid-write (or two
-// corpus instances over one directory — the daemon runs concurrent
-// campaigns against one FuzzCorpusDir) never leaves a truncated entry for
-// the next OpenCorpus to misparse as a regression.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	// CreateTemp's 0600 would make corpus files owner-only; match the
-	// 0644 the direct writes used.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
 	}
 	return nil
 }

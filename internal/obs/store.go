@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+
+	"promising/internal/store"
 )
 
 // Durable trace store: stage events, the final status and the witness
@@ -21,10 +23,10 @@ import (
 //
 // Layout: one <id>.jsonl per job. Line 1 is the versioned header
 // {"v":1,"kind":"job","id":...}; the remaining lines each carry one
-// record ("event", "witness", "index", "status"). Files are written with
-// the same temp-file + atomic-rename idiom as the job store, so a crash
-// can only lose whole records of the job being written, never corrupt a
-// reloaded one.
+// record ("event", "witness", "index", "status"). Files are written
+// through store.WriteFile (fsynced temp file, rename, directory fsync),
+// so a crash or a power loss can only lose the record of the job being
+// written, never corrupt a reloaded one.
 
 // storeVersion is the JSONL header version; files with a different
 // version are skipped at reload (forward compatibility over partial
@@ -176,7 +178,7 @@ func (s *Store) Put(rec *JobRecord) error {
 			return err
 		}
 	}
-	if err := writeFileAtomic(s.path(rec.ID), buf); err != nil {
+	if err := store.WriteFile(s.path(rec.ID), buf, 0o600); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -281,32 +283,4 @@ func readRecord(path, id string) (*JobRecord, error) {
 		}
 	}
 	return rec, nil
-}
-
-// writeFileAtomic is the job store's write-through idiom (temp file in
-// the target directory, then rename), duplicated here because obs is a
-// leaf package the server imports.
-func writeFileAtomic(path string, val []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(val)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

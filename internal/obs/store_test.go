@@ -180,20 +180,22 @@ func TestStoreNilSafe(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomicRemovesTempOnRenameFailure renames onto an existing
-// directory, which fails after the temp file is written: the error must
-// surface and no .tmp-* file may be left beside the target.
-func TestWriteFileAtomicRemovesTempOnRenameFailure(t *testing.T) {
+// TestStorePutRemovesTempOnRenameFailure blocks a record's path with a
+// non-empty directory, so the write fails after its temp file exists:
+// Put must return the error, leave no .tmp-* file beside the target and
+// retain nothing.
+func TestStorePutRemovesTempOnRenameFailure(t *testing.T) {
 	dir := t.TempDir()
-	target := filepath.Join(dir, "rec")
-	if err := os.Mkdir(target, 0o755); err != nil {
+	s, err := OpenStore(dir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(target, "keep"), []byte("x"), 0o644); err != nil {
+	const id = "job-00000000000000dd"
+	if err := os.MkdirAll(filepath.Join(s.path(id), "keep"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(target, []byte("body")); err == nil {
-		t.Fatal("renaming onto a non-empty directory succeeded")
+	if err := s.Put(sampleRecord(id)); err == nil {
+		t.Fatal("persisting onto a non-empty directory succeeded")
 	}
 	left, err := filepath.Glob(filepath.Join(dir, ".tmp-*"))
 	if err != nil {
@@ -201,5 +203,8 @@ func TestWriteFileAtomicRemovesTempOnRenameFailure(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Errorf("temp files left behind: %v", left)
+	}
+	if _, ok := s.Get(id); ok {
+		t.Error("a failed Put retained the record")
 	}
 }

@@ -495,9 +495,20 @@ func (s *Server) startFuzzJob(cfg fuzz.Config) *job {
 
 // startJob launches tests × backendNames on the worker pool and returns
 // the registered job. specs are the wire-form test specs, persisted in
-// the job manifest when a state store is configured.
-func (s *Server) startJob(tests []*litmus.Test, specs []TestSpec, backendNames []string, o CheckOptions) *job {
-	return s.launchJob(newJobID(), tests, specs, backendNames, o, nil)
+// the job manifest when a state store is configured. The manifest is
+// written before any cell runs, so a crash at any later point finds a
+// resumable record; when it cannot be written the job is refused and
+// nothing is registered.
+func (s *Server) startJob(tests []*litmus.Test, specs []TestSpec, backendNames []string, o CheckOptions) (*job, error) {
+	id := newJobID()
+	if err := s.store.putManifest(jobManifest{
+		ID: id, Tests: specs, Backends: backendNames, Options: o, Created: time.Now(),
+	}); err != nil {
+		// A failed directory sync leaves the renamed manifest behind.
+		s.store.remove(id)
+		return nil, err
+	}
+	return s.launchJob(id, tests, specs, backendNames, o, nil), nil
 }
 
 // launchJob is startJob plus the recovery path: rc, when non-nil, holds
@@ -524,15 +535,6 @@ func (s *Server) launchJob(id string, tests []*litmus.Test, specs []TestSpec, ba
 	}
 	j.reports = make([]*TestReport, j.total)
 	s.jobs.add(j)
-	if rc == nil {
-		// Fresh job: persist the manifest before any cell runs, so a crash
-		// at any later point finds a resumable record.
-		if err := s.store.putManifest(jobManifest{
-			ID: id, Tests: specs, Backends: backendNames, Options: o, Created: time.Now(),
-		}); err != nil {
-			s.logf("promised: job %s: persist manifest: %v", id, err)
-		}
-	}
 
 	var wg sync.WaitGroup
 	for i, t := range tests {
@@ -561,7 +563,10 @@ func (s *Server) launchJob(id string, tests []*litmus.Test, specs []TestSpec, ba
 					// from the latest one.
 					x.every = s.cfg.CheckpointInterval
 					x.sink = func(leg int, full, _ *explore.Snapshot) error {
-						s.store.putSnap(j.id, cell, full)
+						// A failed write keeps the previous checkpoint.
+						if err := s.store.putSnap(j.id, cell, full); err != nil {
+							s.logf("promised: job %s: persist checkpoint of cell %d: %v", j.id, cell, err)
+						}
 						x.trace.Emit("checkpoint", fmt.Sprintf("leg %d: %d pending, %d states", leg, len(full.Frontier), full.States))
 						return nil
 					}
@@ -573,8 +578,13 @@ func (s *Server) launchJob(id string, tests []*litmus.Test, specs []TestSpec, ba
 				// that verdict would freeze it into the restarted job. Its
 				// latest checkpoint stays on disk instead.
 				if ctx.Err() == nil || litmus.Status(tr.Status).Complete() {
-					s.store.putDone(j.id, cell, &tr)
-					s.store.dropSnap(j.id, cell)
+					if err := s.store.putDone(j.id, cell, &tr); err != nil {
+						// Keep the checkpoint: a restart resumes the cell
+						// from it instead of from scratch.
+						s.logf("promised: job %s: persist report of cell %d: %v", j.id, cell, err)
+					} else {
+						s.store.dropSnap(j.id, cell)
+					}
 				}
 			}(i*len(backendNames)+bi, t, b)
 		}
@@ -592,13 +602,19 @@ func (s *Server) launchJob(id string, tests []*litmus.Test, specs []TestSpec, ba
 // A finished job's record (stage events, final status, witness traces)
 // reaches the durable trace store first; then the resumable state is
 // released — kept for jobs ended by a server shutdown, which must resume
-// on restart — and only then is the terminal state published.
+// on restart, and for finished jobs whose record could not be written,
+// which a restart recovers from their done records — and only then is
+// the terminal state published.
 func (s *Server) endJob(j *job) JobStatus {
 	st := j.seal()
+	release := st.State == JobDone || j.userCanceled.Load()
 	if st.State == JobDone {
-		s.persistObs(j, st)
+		if err := s.persistObs(j, st); err != nil {
+			s.logf("promised: job %s: persist traces: %v", j.id, err)
+			release = false
+		}
 	}
-	if st.State == JobDone || j.userCanceled.Load() {
+	if release {
 		s.store.remove(j.id)
 	}
 	j.finish()

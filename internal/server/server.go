@@ -50,10 +50,10 @@ type Config struct {
 	CacheDir string
 	// StateDir, when non-empty, makes batch jobs durable: the daemon
 	// periodically checkpoints every running cell's exploration there
-	// (explore.Snapshot, atomic-rename write-through) and, on restart,
+	// (explore.Snapshot, written with store.WriteFile) and, on restart,
 	// re-enqueues unfinished jobs from their latest snapshots under their
-	// original ids instead of dropping them. A kill -9 loses at most the
-	// progress since the last checkpoint interval.
+	// original ids instead of dropping them. A kill -9 or a power loss
+	// loses at most the progress since the last checkpoint interval.
 	StateDir string
 	// CheckpointInterval is how often a running cell's exploration is
 	// checkpointed to StateDir (default 10s; ignored without StateDir).
@@ -772,17 +772,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		tests[i] = t
 	}
-	// Admission backpressure, last so no error path leaks budget: each
-	// admitted cell parks a goroutine on the worker pool, so outstanding
-	// cells are bounded, not just running ones. startJob's cell goroutines
-	// return the budget as they complete.
+	// Admission backpressure, after every validation so no request error
+	// holds budget: each admitted cell parks a goroutine on the worker
+	// pool, so outstanding cells are bounded, not just running ones.
+	// startJob's cell goroutines return the budget as they complete; a job
+	// refused because its manifest could not be written returns it here.
 	if n := s.pending.Add(int64(cells)); n > int64(s.cfg.MaxPendingCells) {
 		s.pending.Add(-int64(cells))
 		writeErr(w, http.StatusServiceUnavailable,
 			"server busy: %d cells already queued (limit %d); retry later", n-int64(cells), s.cfg.MaxPendingCells)
 		return
 	}
-	j := s.startJob(tests, req.Tests, req.Backends, req.Options)
+	j, err := s.startJob(tests, req.Tests, req.Backends, req.Options)
+	if err != nil {
+		s.pending.Add(-int64(cells))
+		s.logf("promised: batch refused: persist manifest: %v", err)
+		writeErr(w, http.StatusServiceUnavailable, "cannot persist the job: %v", err)
+		return
+	}
 	s.logf("promised: job %s started (%d cells)", j.id, j.total)
 	writeJSON(w, http.StatusAccepted, BatchResponse{JobID: j.id, Cells: j.total})
 }
@@ -970,20 +977,18 @@ func (s *Server) handleJobWitness(w http.ResponseWriter, r *http.Request) {
 // persistObs writes a finished job's observability record — stage
 // events, the final status document st, and every witness trace — to the
 // durable trace store. Nil-safe (no state dir: no-op).
-func (s *Server) persistObs(j *job, st JobStatus) {
+func (s *Server) persistObs(j *job, st JobStatus) error {
 	if s.obsStore == nil {
-		return
+		return nil
 	}
 	statusRaw, err := json.Marshal(st)
 	if err != nil {
-		s.logf("promised: job %s: marshal final status: %v", j.id, err)
-		return
+		return fmt.Errorf("marshal final status: %w", err)
 	}
 	rec := &obs.JobRecord{ID: j.id, Events: j.tracer.Events(), Status: statusRaw}
 	if idx := witnessIndexOf(j.id, st.Reports); len(idx.Witnesses) > 0 {
 		if rec.Index, err = json.Marshal(idx); err != nil {
-			s.logf("promised: job %s: marshal witness index: %v", j.id, err)
-			return
+			return fmt.Errorf("marshal witness index: %w", err)
 		}
 		for cell, tr := range st.Reports {
 			if tr == nil {
@@ -992,16 +997,13 @@ func (s *Server) persistObs(j *job, st JobStatus) {
 			for _, wt := range tr.Witnesses {
 				body, err := json.Marshal(WitnessDetail{JobID: j.id, Cell: cell, Trace: wt})
 				if err != nil {
-					s.logf("promised: job %s: marshal witness: %v", j.id, err)
-					return
+					return fmt.Errorf("marshal witness: %w", err)
 				}
 				rec.Witnesses = append(rec.Witnesses, obs.WitnessRecord{Cell: cell, Outcome: wt.Outcome, Body: body})
 			}
 		}
 	}
-	if err := s.obsStore.Put(rec); err != nil {
-		s.logf("promised: job %s: persist traces: %v", j.id, err)
-	}
+	return s.obsStore.Put(rec)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {

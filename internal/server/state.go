@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"promising/internal/explore"
+	"promising/internal/store"
 )
 
 // Durable job state (-state-dir): the daemon periodically checkpoints
@@ -21,10 +22,10 @@ import (
 //	<id>/cell-<n>.done   completed cell's TestReport
 //	<id>/cell-<n>.snap   latest checkpoint of a still-running cell
 //
-// All writes go through the write-through idiom of internal/cache
-// (temp file + atomic rename), so a kill -9 can lose at most the tail
-// since the last checkpoint interval — never corrupt a file. Terminal
-// jobs are removed wholesale.
+// All writes go through store.WriteFile (temp file, fsync, rename,
+// directory fsync), so a kill -9 or a power loss can lose at most the
+// tail since the last checkpoint interval, never corrupt a file.
+// Terminal jobs are removed wholesale.
 
 // jobManifest records everything needed to re-create a batch job.
 type jobManifest struct {
@@ -52,33 +53,6 @@ func openJobStore(stateDir string) (*jobStore, error) {
 	return &jobStore{dir: dir}, nil
 }
 
-// writeAtomic is the cache package's write-through idiom: temp file in
-// the target directory, then rename.
-func writeAtomic(path string, val []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(val)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
 func (st *jobStore) manifestPath(id string) string { return filepath.Join(st.dir, id+".json") }
 func (st *jobStore) cellDir(id string) string      { return filepath.Join(st.dir, id) }
 func (st *jobStore) donePath(id string, cell int) string {
@@ -97,28 +71,32 @@ func (st *jobStore) putManifest(m jobManifest) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(st.manifestPath(m.ID), raw)
+	return store.WriteFile(st.manifestPath(m.ID), raw, 0o600)
 }
 
 // putDone persists a completed cell's report. nil-safe.
-func (st *jobStore) putDone(id string, cell int, tr *TestReport) {
+func (st *jobStore) putDone(id string, cell int, tr *TestReport) error {
 	if st == nil {
-		return
+		return nil
 	}
-	if raw, err := json.Marshal(tr); err == nil {
-		writeAtomic(st.donePath(id, cell), raw)
+	raw, err := json.Marshal(tr)
+	if err != nil {
+		return err
 	}
+	return store.WriteFile(st.donePath(id, cell), raw, 0o600)
 }
 
 // putSnap persists a running cell's latest checkpoint, replacing the
 // previous one. nil-safe.
-func (st *jobStore) putSnap(id string, cell int, snap *explore.Snapshot) {
+func (st *jobStore) putSnap(id string, cell int, snap *explore.Snapshot) error {
 	if st == nil {
-		return
+		return nil
 	}
-	if raw, err := snap.Marshal(); err == nil {
-		writeAtomic(st.snapPath(id, cell), raw)
+	raw, err := snap.Marshal()
+	if err != nil {
+		return err
 	}
+	return store.WriteFile(st.snapPath(id, cell), raw, 0o600)
 }
 
 // dropSnap removes a cell's checkpoint (the cell completed). nil-safe.

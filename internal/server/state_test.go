@@ -221,18 +221,22 @@ func TestUserCancelRemovesJobState(t *testing.T) {
 	}
 }
 
-// TestWriteAtomicFailedRenameLeavesNoTempFile blocks the target path with
-// a non-empty directory: the write must fail and leave no temp file.
-func TestWriteAtomicFailedRenameLeavesNoTempFile(t *testing.T) {
-	dir := t.TempDir()
-	target := filepath.Join(dir, "cell-0.snap")
-	if err := os.MkdirAll(filepath.Join(target, "blocker"), 0o755); err != nil {
+// TestJobStoreFailedRenameLeavesNoTempFile blocks a cell's report path
+// with a non-empty directory: putDone must return the error and leave no
+// temp file.
+func TestJobStoreFailedRenameLeavesNoTempFile(t *testing.T) {
+	st, err := openJobStore(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeAtomic(target, []byte("snapshot")); err == nil {
+	const id = "job-00000000000000ee"
+	if err := os.MkdirAll(filepath.Join(st.donePath(id, 0), "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.putDone(id, 0, &TestReport{Test: "MP"}); err == nil {
 		t.Fatal("write over a non-empty directory succeeded")
 	}
-	tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	tmps, _ := filepath.Glob(filepath.Join(st.cellDir(id), ".tmp-*"))
 	if len(tmps) != 0 {
 		t.Fatalf("failed rename left temp files: %v", tmps)
 	}
